@@ -20,8 +20,9 @@ Metrics:
 * ``cold_units_per_s`` — informational solve throughput;
 * ``telemetry_overhead_ratio`` — warm 1000-instance sweep with an
   active :mod:`repro.obs` collector over the same sweep with telemetry
-  disabled (best-of-3 each).  The observability contract is that spans
-  and counters stay within 5% of free on the hot path.
+  disabled (median of 15 interleaved pairs of 3-sweep legs).  The
+  observability contract is that spans and counters stay within 5% of
+  free on the hot path.
 
 Dual entry points: a pytest-benchmark test and a ``--json`` script mode
 for the benchmark-regression gate::
@@ -46,6 +47,11 @@ except ImportError:  # script mode: no pytest plumbing to bypass
 
 N_INSTANCES = 60
 N_OVERHEAD_INSTANCES = 1000
+#: Interleaved (disabled, enabled) leg pairs behind the overhead
+#: median, and warm sweeps per leg (one sweep is ~0.1 s, short enough
+#: for scheduler noise to swamp a 5% bound).
+N_OVERHEAD_PAIRS = 15
+N_OVERHEAD_SWEEPS = 3
 BOUNDS = [(150.0, 750.0), (250.0, 750.0), (400.0, 750.0)]
 
 #: Regression-gate metric names (see run_ensemble_sweep_bench).
@@ -114,7 +120,9 @@ def run_telemetry_overhead_bench() -> float:
     The warm path is where telemetry density peaks — every unit fires a
     cache-hit counter inside the lookup span, with zero solve time to
     hide behind — so it bounds the instrumentation cost everywhere
-    else.  Best-of-3 per leg to shed scheduler noise.
+    else.  The disabled and enabled legs run in interleaved pairs (the
+    first leg alternating) so machine drift hits both alike, and the
+    ratio is the median of the per-pair ratios.
     """
     ensemble = generate_ensemble(
         "section8-hom", n_instances=N_OVERHEAD_INSTANCES, seed=11)
@@ -124,26 +132,30 @@ def run_telemetry_overhead_bench() -> float:
         cache = ResultCache(tmp)
         run_sweep(ensemble, methods, BOUNDS, cache=cache)  # fill
 
+        def sweeps() -> float:
+            t0 = time.perf_counter()
+            for _ in range(N_OVERHEAD_SWEEPS):
+                run_sweep(ensemble, methods, BOUNDS, cache=ResultCache(tmp))
+            return time.perf_counter() - t0
+
         def warm_leg(with_telemetry: bool) -> float:
-            best = float("inf")
-            for _ in range(3):
-                leg_cache = ResultCache(tmp)
-                if with_telemetry:
-                    with obs.collect():
-                        t0 = time.perf_counter()
-                        run_sweep(ensemble, methods, BOUNDS, cache=leg_cache)
-                        best = min(best, time.perf_counter() - t0)
-                else:
-                    t0 = time.perf_counter()
-                    run_sweep(ensemble, methods, BOUNDS, cache=leg_cache)
-                    best = min(best, time.perf_counter() - t0)
-            return best
+            if with_telemetry:
+                with obs.collect():
+                    return sweeps()
+            return sweeps()
 
         warm_leg(False)  # touch every cache file once before timing
-        disabled = warm_leg(False)
-        enabled = warm_leg(True)
+        ratios = []
+        for rep in range(N_OVERHEAD_PAIRS):
+            if rep % 2:
+                enabled = warm_leg(True)
+                disabled = warm_leg(False)
+            else:
+                disabled = warm_leg(False)
+                enabled = warm_leg(True)
+            ratios.append(enabled / disabled)
 
-    return enabled / disabled
+    return float(np.median(ratios))
 
 
 def test_ensemble_sweep_throughput(benchmark):

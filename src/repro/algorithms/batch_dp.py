@@ -1,8 +1,9 @@
-"""Batched converse-objective kernels: dp-period and dp-latency.
+"""Batched DP kernels: dp-period, dp-latency and pareto-dp.
 
-The tentpole cells beyond the heuristics: one kernel call runs
+The exact cells beyond the heuristics: one kernel call runs
 :func:`~repro.algorithms.minimize_period` /
-:func:`~repro.algorithms.minimize_latency` over every row of a
+:func:`~repro.algorithms.minimize_latency` /
+:func:`~repro.algorithms.pareto_dp_best` over every row of a
 homogeneous ensemble group at every sweep point, bit-identical to the
 per-row loop (same bit-identity contract as
 :mod:`repro.algorithms.batch` — see that module's docstring for the
@@ -23,22 +24,29 @@ rules the style below follows).
   witness, which is then scored by the real
   :func:`~repro.core.evaluation.evaluate_mapping`.
 
-* **dp-latency** (:func:`batch_minimize_latency`) — the scalar path
-  runs one Pareto DP per (row, point) with the *latency budget* as a
-  pruning bound.  Inserting points beyond a lane's budget never evicts
-  or dominates a within-budget frontier point (cost is the first
-  frontier coordinate), so the sub-frontier within a smaller budget of
-  a larger-budget run equals the smaller run's frontier.  The kernel
-  therefore runs one DP per (row, distinct period bound) with the
-  group's *largest* budget and answers every latency point from the
-  shared frontier, restricting the final scan to points with
-  ``cost <= budget_pt`` — the usual latency sweep (one period bound,
-  many latency points) costs one DP per row.
+* **dp-latency** (:func:`batch_minimize_latency`) and **pareto-dp**
+  (:func:`batch_pareto_dp`) — the scalar paths run one Pareto DP per
+  (row, point) with the *latency budget* as a pruning bound.  Inserting
+  points beyond a lane's budget never evicts or dominates a
+  within-budget frontier point (cost is the first frontier coordinate),
+  so the sub-frontier within a smaller budget of a larger-budget run
+  equals the smaller run's frontier — and, frontiers being sorted by
+  cost, it is a prefix, so the parent indices stored in the payloads
+  agree too.  Both kernels therefore share one per-row routine
+  (:func:`_batch_frontier_scan`): build the row's stage table once, run
+  one DP per distinct period bound with the group's *largest* budget,
+  and answer every point from the shared final frontiers within its
+  own budget.  They differ only in the final-scan rule: the cheapest
+  point meeting the floor (dp-latency) or the most reliable point
+  (pareto-dp).  A latency sweep (one period bound, many latency
+  points) costs one DP per row; a period sweep still runs one DP per
+  point but shares the stage table.
 
-Both kernels return the 4-tuple ``solve_batch`` form — the fourth
-element carries the per-row ``info`` dict (``probes`` counts and, for
-the searches, ``converged``) that the per-row path would have
-accumulated, so harness events and cache record bytes stay identical.
+dp-period returns the 4-tuple ``solve_batch`` form — the fourth element
+carries the per-row ``info`` dict (``probes`` counts) that the per-row
+path would have accumulated, so harness events and cache record bytes
+stay identical.  The Pareto-DP scalar paths record no per-unit info, so
+their kernels return the 3-tuple form.
 """
 
 from __future__ import annotations
@@ -49,13 +57,15 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.batch import BatchUnsupported, floor_log_reliability
-from repro.algorithms.pareto_dp import _reconstruct, _run_dp
+from repro.algorithms.pareto_dp import (
+    _fastest, _most_reliable, _reconstruct, _run_dp, _stage_table,
+)
 from repro.core.evaluation import evaluate_mapping
 from repro.core.interval import Interval
 from repro.core.mapping import Mapping
 from repro.util import logrel
 
-__all__ = ["batch_minimize_period", "batch_minimize_latency"]
+__all__ = ["batch_minimize_period", "batch_minimize_latency", "batch_pareto_dp"]
 
 
 def _resolve_rows(ensemble, rows) -> np.ndarray:
@@ -310,6 +320,90 @@ def batch_minimize_period(
     return solved, failure, values, infos
 
 
+def _batch_frontier_scan(ensemble, bounds, rows, kernel, pick, measure, unsolved):
+    """The per-row routine both Pareto-DP kernels share.
+
+    Per row: one stage table, then one DP per distinct period bound run
+    with the loosest live latency budget; every point of that period is
+    answered from the shared final frontiers by ``pick(final, budget)``
+    (a payload, or ``None`` when the point is infeasible).  *measure*
+    maps a solved point's evaluation to its objective value; *unsolved*
+    fills the rest.
+    """
+    rows = _resolve_rows(ensemble, rows)
+    n_pts = len(bounds)
+    r = len(rows)
+    solved = np.zeros((r, n_pts), dtype=bool)
+    failure = np.ones((r, n_pts), dtype=float)
+    values = np.full((r, n_pts), unsolved, dtype=float)
+    if r == 0:
+        return solved, failure, values
+    _require_homogeneous_rows(ensemble, rows, kernel)
+    for P, L in bounds:
+        if float(P) <= 0 or float(L) <= 0:
+            raise ValueError("bounds must be > 0")
+
+    for ri, row in enumerate(rows.tolist()):
+        table = _stage_table(ensemble.chain(row), ensemble.platform(row))
+        # Points whose latency cap cannot even cover the compute lower
+        # bound are infeasible before any DP runs (scalar early return).
+        budgets = [float(L) - table.total_compute for _, L in bounds]
+        by_period: dict[float, list[int]] = {}
+        for pt, budget in enumerate(budgets):
+            if budget >= 0:
+                by_period.setdefault(float(bounds[pt][0]), []).append(pt)
+        for period_bound, pts in by_period.items():
+            front = _run_dp(table, period_bound, max(budgets[pt] for pt in pts))
+            final = front[table.n]
+            # A payload names one mapping of this run: points that pick
+            # the same final point share its evaluation.
+            scored: dict[tuple, tuple[float, float]] = {}
+            for pt in pts:
+                payload = pick(final, budgets[pt])
+                if payload is None:
+                    continue
+                if payload not in scored:
+                    ev = evaluate_mapping(_reconstruct(table, front, payload))
+                    scored[payload] = (ev.failure_probability, measure(ev))
+                solved[ri, pt] = True
+                failure[ri, pt], values[ri, pt] = scored[payload]
+    return solved, failure, values
+
+
+def batch_pareto_dp(
+    ensemble,
+    bounds: Sequence[tuple[float, float]],
+    *,
+    rows: "Sequence[int] | None" = None,
+    objective: str = "reliability",
+    min_reliability: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched ``pareto_dp_best`` over homogeneous ensemble rows.
+
+    One Pareto-DP run per (row, distinct period bound) with the group's
+    largest latency budget serves every sweep point; each point takes
+    the most reliable final point within its own budget (see the module
+    docstring).  Returns ``(solved, failure, reliability)`` — 0.0
+    reliability where unsolved, as the per-row results report.
+    """
+    if objective != "reliability":
+        raise BatchUnsupported(
+            f"the batched pareto-dp kernel covers objective 'reliability' "
+            f"only, got {objective!r}",
+            reason="objective",
+        )
+    if float(min_reliability) != 0.0:
+        raise BatchUnsupported(
+            "the batched pareto-dp kernel maximizes reliability itself; "
+            "it takes no reliability floor",
+            reason="floor",
+        )
+    return _batch_frontier_scan(
+        ensemble, bounds, rows, "pareto-dp", _most_reliable,
+        lambda ev: ev.reliability, 0.0,
+    )
+
+
 def batch_minimize_latency(
     ensemble,
     bounds: Sequence[tuple[float, float]],
@@ -333,62 +427,9 @@ def batch_minimize_latency(
             f"got {objective!r}",
             reason="objective",
         )
-    rows = _resolve_rows(ensemble, rows)
-    n_pts = len(bounds)
-    r = len(rows)
-    solved = np.zeros((r, n_pts), dtype=bool)
-    failure = np.ones((r, n_pts), dtype=float)
-    values = np.full((r, n_pts), math.inf, dtype=float)
-    if r == 0:
-        return solved, failure, values
-    _require_homogeneous_rows(ensemble, rows, "dp-latency")
-    for P, L in bounds:
-        if float(P) <= 0 or float(L) <= 0:
-            raise ValueError("bounds must be > 0")
-
     floor = floor_log_reliability(min_reliability)
-    for ri in range(r):
-        row = int(rows[ri])
-        chain = ensemble.chain(row)
-        platform = ensemble.platform(row)
-        prefix = np.concatenate(([0.0], np.cumsum(chain.work)))
-        total_compute = float(prefix[-1]) / float(platform.speeds[0])
-        p = platform.p
-
-        # Points whose latency cap cannot even cover the compute lower
-        # bound are infeasible before any DP runs (scalar early return).
-        budgets = np.array([float(L) - total_compute for _, L in bounds])
-        live = budgets >= 0
-
-        # One shared DP per distinct period bound, run with the loosest
-        # live budget so every point's frontier is a sub-frontier.
-        by_period: dict[float, list[int]] = {}
-        for pt in np.flatnonzero(live):
-            by_period.setdefault(float(bounds[pt][0]), []).append(int(pt))
-        for period_bound, pts in by_period.items():
-            run = _run_dp(
-                chain, platform, period_bound, float(np.max(budgets[pts]))
-            )
-            front = run.front
-            for pt in pts:
-                budget = budgets[pt]
-                best: "tuple[float, float, int] | None" = None
-                for k in range(1, p + 1):
-                    fr = front[chain.n][k]
-                    if fr is None:
-                        continue
-                    for cost, value, _payload in fr:
-                        if cost > budget or value < floor:
-                            continue
-                        key = (cost, -value, k)
-                        if best is None or key < best:
-                            best = key
-                if best is None:
-                    continue
-                cost, neg_value, k = best
-                mapping = _reconstruct(chain, platform, run, -neg_value, k, cost)
-                ev = evaluate_mapping(mapping)
-                solved[ri, pt] = True
-                failure[ri, pt] = ev.failure_probability
-                values[ri, pt] = ev.worst_case_latency
-    return solved, failure, values
+    return _batch_frontier_scan(
+        ensemble, bounds, rows, "dp-latency",
+        lambda final, budget: _fastest(final, budget, floor),
+        lambda ev: ev.worst_case_latency, math.inf,
+    )

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from repro.algorithms._hom_dp import hom_reliability_dp, require_homogeneous
+from repro.algorithms.pareto_dp import _stage_table, pareto_dp_best
 from repro.algorithms.result import SolveResult
 from repro.core.chain import TaskChain
 from repro.core.evaluation import evaluate_mapping
@@ -192,17 +193,24 @@ def minimize_period(
     if max_period <= 0 or max_latency <= 0:
         raise ValueError("bounds must be > 0")
 
-    def probe(period_bound: float):
-        """Best (feasible?, log-reliability, mapping) under the bounds."""
-        if math.isinf(max_latency):
+    if math.isinf(max_latency):
+
+        def probe(period_bound: float):
+            """Best (feasible?, log-reliability, mapping) under the bounds."""
             dp = hom_reliability_dp(chain, platform, max_period=period_bound)
             return dp.mapping is not None, dp.log_reliability, dp.mapping
-        from repro.algorithms.pareto_dp import pareto_dp_best
 
-        res = pareto_dp_best(
-            chain, platform, max_period=period_bound, max_latency=max_latency
-        )
-        return res.feasible, res.log_reliability, res.mapping
+    else:
+        # Every Pareto-DP probe reads the same bound-independent table.
+        stages = _stage_table(chain, platform)
+
+        def probe(period_bound: float):
+            """Best (feasible?, log-reliability, mapping) under the bounds."""
+            res = pareto_dp_best(
+                chain, platform, max_period=period_bound,
+                max_latency=max_latency, stages=stages,
+            )
+            return res.feasible, res.log_reliability, res.mapping
 
     def meets(period_bound: float) -> "tuple[bool, object]":
         feasible, ell, mapping = probe(period_bound)

@@ -98,7 +98,11 @@ from repro.algorithms import (
     ilp_best,
     pareto_dp_best,
 )
-from repro.algorithms.batch_dp import batch_minimize_latency, batch_minimize_period
+from repro.algorithms.batch_dp import (
+    batch_minimize_latency,
+    batch_minimize_period,
+    batch_pareto_dp,
+)
 from repro.algorithms.batch_search import search_solve_batch
 from repro.algorithms.result import SolveResult
 from repro.core.platform import Platform
@@ -531,7 +535,12 @@ def _ilp_bb(problem):
     )
 
 
-@register_method("pareto-dp", exact=True, homogeneous_only=True, cost_hint=3.0)
+# The kernel shares each row's stage table across the sweep and one DP
+# per distinct period bound across its latency points.
+@register_method(
+    "pareto-dp", exact=True, homogeneous_only=True, cost_hint=3.0,
+    solve_batch=batch_pareto_dp,
+)
 def _pareto(problem):
     return pareto_dp_best(
         problem.chain, problem.platform,

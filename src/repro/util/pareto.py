@@ -14,7 +14,7 @@ strictly increasing value).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Any, Iterator, Sequence
 
 __all__ = ["ParetoFrontier", "dominates"]
@@ -65,6 +65,10 @@ class ParetoFrontier:
     def __iter__(self) -> Iterator[tuple[float, float, Any]]:
         return iter(zip(self._costs, self._values, self._payloads))
 
+    def __getitem__(self, index: int) -> tuple[float, float, Any]:
+        """The ``(cost, value, payload)`` point at *index* in cost order."""
+        return self._costs[index], self._values[index], self._payloads[index]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pts = ", ".join(f"({c:g}, {v:g})" for c, v in zip(self._costs, self._values))
         return f"ParetoFrontier([{pts}])"
@@ -87,17 +91,18 @@ class ParetoFrontier:
         considered dominated (the incumbent wins), keeping frontiers small.
         """
         costs, values = self._costs, self._values
-        i = bisect_left(costs, cost)
         # Any point with cost <= cost and value >= value dominates us.
         # Since values increase with cost, it suffices to check the last
-        # point with cost <= our cost... but equal costs need care.
+        # point with cost <= our cost.
         j = bisect_right(costs, cost)
         if j > 0 and values[j - 1] >= value:
             # The best point at cost <= ours already achieves >= our value.
             return False
         # Remove points we dominate: cost >= ours and value <= ours.
         # Those are a contiguous run starting at i (first index with
-        # cost >= ours) while their value <= ours.
+        # cost >= ours; costs are distinct, so at most one equals ours)
+        # while their value <= ours.
+        i = j - 1 if j > 0 and costs[j - 1] == cost else j
         k = i
         while k < len(costs) and values[k] <= value:
             k += 1

@@ -13,11 +13,13 @@ from repro.algorithms import (
     batch_heuristic_best,
     batch_minimize_latency,
     batch_minimize_period,
+    batch_pareto_dp,
     heuristic_best,
     heuristic_solve_batch,
 )
 from repro.experiments import Method, get_method, run_sweep
 from repro.experiments.cache import ResultCache
+from repro.core.ensemble import Ensemble
 from repro.experiments.harness import _unit_arrays
 from repro.scenarios import generate_ensemble, generate_ensembles, get_scenario
 
@@ -72,7 +74,7 @@ def shrunk_spec(name):
 def sweep_pair(tmp_path, spec, method, objective, bounds=BOUNDS,
                min_reliability=0.0):
     """The same sweep through the batched and the per-row path, each
-    into its own cold cache."""
+    into its own cold cache (*spec* may also be generated ensembles)."""
     sweeps, caches = [], []
     for batch in ("auto", False):
         cache = ResultCache(tmp_path / f"cache-{batch}")
@@ -294,11 +296,11 @@ class TestMethodCapability:
     def test_builtin_methods_declare_solve_batch(self):
         for name in (
             "heur-l", "heur-p", "heuristic",
-            "dp-period", "dp-latency",
+            "pareto-dp", "dp-period", "dp-latency",
             "het-period-search", "het-latency-search",
         ):
             assert get_method(name).solve_batch is not None
-        for name in ("anneal", "heur-l-paper", "ilp", "pareto-dp",
+        for name in ("anneal", "heur-l-paper", "ilp",
                      "brute-force", "energy-greedy"):
             assert get_method(name).solve_batch is None
 
@@ -478,3 +480,126 @@ class TestForcedAndFallback:
         for event in sweep.unit_events:
             assert event["batch_fallback"] == "latency-bound"
             assert event["source"] == "parent"
+
+
+def pareto_axes(ensembles):
+    """The two pareto-dp sweep axes, scaled to the ensembles' median
+    compute lower bound ``T``: period points at one latency bound, and
+    latency points at one period bound (the axis a shared frontier
+    answers with one DP per row).  Each axis spans feasible and
+    infeasible points."""
+    T = float(np.median(np.concatenate([
+        e.work.sum(axis=1) / np.broadcast_to(e.speeds[:, 0], e.n_instances)
+        for e in ensembles
+    ])))
+    return {
+        "period": [(math.inf, 1.3 * T), (T / 2, 1.3 * T), (T / 4, 1.3 * T),
+                   (T / 8, 1.3 * T), (T / 16, 1.3 * T)],
+        "latency": [(T / 4, math.inf), (T / 4, 1.5 * T), (T / 4, 1.1 * T),
+                    (T / 4, 1.02 * T), (T / 4, 0.9 * T)],
+    }
+
+
+def edge_ensemble(shape):
+    """Small homogeneous ensembles in the adversarial shapes."""
+    rng = np.random.default_rng(7)
+    if shape == "n1":
+        return Ensemble([[30.0], [50.0]], [[0.0], [0.0]], [[1.0] * 3],
+                        [[1e-3] * 3], link_failure_rate=1e-4,
+                        max_replication=2)
+    if shape == "p1":
+        work = rng.uniform(5, 50, (3, 4))
+        output = rng.uniform(0, 10, (3, 4))
+        return Ensemble(work, output, [[2.0]], [[1e-3]],
+                        link_failure_rate=1e-3, max_replication=1)
+    if shape == "K>=p":
+        work = rng.uniform(5, 50, (3, 4))
+        output = rng.uniform(0, 10, (3, 4))
+        return Ensemble(work, output, [[1.0] * 3], [[1e-2] * 3],
+                        link_failure_rate=1e-3, max_replication=5)
+    if shape == "ties":
+        # Equal work, equal outputs, no failures anywhere: every
+        # mapping has reliability 1 and many share a latency.
+        return Ensemble(np.full((2, 5), 10.0), np.full((2, 5), 2.0),
+                        [[1.0] * 4], [[0.0] * 4], max_replication=2)
+    raise ValueError(shape)
+
+
+class TestParetoDPKernel:
+    """batch_pareto_dp (pareto-dp's solve_batch) against the per-row
+    pareto_dp_best path: arrays and cache record bytes."""
+
+    @pytest.mark.parametrize("axis", ["period", "latency"])
+    @pytest.mark.parametrize(
+        "scenario",
+        sorted(name for name in SHRINK if get_scenario(name).homogeneous),
+    )
+    def test_sweep_matches_per_row(self, tmp_path, scenario, axis):
+        ensembles = generate_ensembles(shrunk_spec(scenario), seed=3)
+        bounds = pareto_axes(ensembles)[axis]
+        (batched, looped), (bcache, lcache) = sweep_pair(
+            tmp_path, ensembles, get_method("pareto-dp"), "reliability", bounds
+        )
+        assert np.array_equal(batched.solved, looped.solved)
+        assert np.array_equal(batched.failure, looped.failure)
+        assert np.array_equal(batched.objective_values, looped.objective_values)
+        assert dict(bcache.backend.scan()) == dict(lcache.backend.scan()) != {}
+        assert batched.batch_units == n_units(batched)
+        assert looped.batch_units == 0
+        # Both axes reach feasible and infeasible points.
+        assert batched.solved.any() and not batched.solved.all()
+
+    @pytest.mark.parametrize("shape", ["n1", "p1", "K>=p", "ties"])
+    def test_edge_shapes_match_per_row(self, tmp_path, shape):
+        ensemble = edge_ensemble(shape)
+        T = ensemble.work.sum(axis=1) / ensemble.speeds[0, 0]
+        bounds = [
+            (math.inf, math.inf),
+            # Latency exactly at / just below the compute lower bound
+            # of the slowest row.
+            (math.inf, float(T.max())),
+            (math.inf, float(np.nextafter(T.max(), 0.0))),
+            (float(ensemble.work.max()), float(T.max()) * 1.5),
+        ]
+        (batched, looped), (bcache, lcache) = sweep_pair(
+            tmp_path, ensemble, get_method("pareto-dp"), "reliability", bounds
+        )
+        assert np.array_equal(batched.solved, looped.solved)
+        assert np.array_equal(batched.failure, looped.failure)
+        assert np.array_equal(batched.objective_values, looped.objective_values)
+        assert dict(bcache.backend.scan()) == dict(lcache.backend.scan()) != {}
+        assert batched.batch_units == n_units(batched)
+        assert batched.solved[0, 0].all()
+        assert not batched.solved[0, 2, np.argmax(T)]
+
+    def test_kernel_rows_match_unit_arrays(self):
+        ensemble = generate_ensemble(shrunk_spec("unreliable-links"), seed=13)
+        method = get_method("pareto-dp")
+        for bounds in pareto_axes([ensemble]).values():
+            solved, failure, values = batch_pareto_dp(ensemble, bounds, rows=[2, 0])
+            for r, i in enumerate([2, 0]):
+                u_solved, u_failure, u_values, u_info = _unit_arrays(
+                    method, ensemble[i], bounds, None, "reliability", 0.0
+                )
+                assert np.array_equal(solved[r], u_solved)
+                assert np.array_equal(failure[r], u_failure)
+                assert np.array_equal(values[r], u_values)
+                assert u_info is None
+
+    def test_refusals(self):
+        het = generate_ensemble(shrunk_spec("high-heterogeneity"), seed=5)
+        hom = generate_ensemble(shrunk_spec("section8-hom"), seed=5)
+        cases = [
+            (lambda: batch_pareto_dp(het, BOUNDS), "heterogeneous"),
+            (lambda: batch_pareto_dp(hom, BOUNDS, objective="latency"),
+             "objective"),
+            (lambda: batch_pareto_dp(hom, BOUNDS, min_reliability=0.5), "floor"),
+        ]
+        for call, reason in cases:
+            with pytest.raises(BatchUnsupported) as exc:
+                call()
+            assert exc.value.reason == reason
+        with pytest.raises(ValueError, match="bounds"):
+            batch_pareto_dp(hom, [(0.0, math.inf)])
+        solved, _failure, _values = batch_pareto_dp(hom, BOUNDS, rows=[])
+        assert solved.shape == (0, len(BOUNDS))

@@ -73,6 +73,40 @@ class TestParetoDP:
             pareto_dp_best(chain, hom_platform(1, 1), max_period=0.0)
 
 
+class TestParetoOracle:
+    """pareto_dp_best against the brute-force oracle on chains of up to
+    six tasks, in the shapes where a frontier DP can slip: one task,
+    one processor, K >= p, tied work values, no failures at all, and
+    latency bounds at and just below the compute lower bound."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        n = 1 + seed % 6
+        p = int(rng.integers(1, 5))
+        K = int(rng.integers(1, 6))  # K >= p on some seeds
+        chain = random_chain(n, rng)
+        if seed % 4 == 1:
+            chain = TaskChain([20.0] * n, [3.0] * (n - 1) + [0.0])
+        if seed % 4 == 2:
+            plat = Platform.homogeneous_platform(p, max_replication=K)
+        else:
+            plat = hom_platform(p, K)
+        compute = float(np.sum(chain.work)) / float(plat.speeds[0])
+        for P in (np.inf, float(rng.uniform(10, 200))):
+            for L in (np.inf, compute * float(rng.uniform(1.0, 1.6)),
+                      compute, float(np.nextafter(compute, 0.0))):
+                bf = brute_force_best(chain, plat, max_period=P, max_latency=L)
+                pd = pareto_dp_best(chain, plat, max_period=P, max_latency=L)
+                assert pd.feasible == bf.feasible
+                if bf.feasible:
+                    assert pd.log_reliability == pytest.approx(
+                        bf.log_reliability, rel=1e-12, abs=1e-300
+                    )
+                    assert pd.evaluation.worst_case_period <= P
+                    assert pd.evaluation.worst_case_latency <= L * (1 + 1e-12)
+
+
 class TestILP:
     def test_simple_instance(self):
         chain = TaskChain([6.0, 6.0], [4.0, 0.0])
