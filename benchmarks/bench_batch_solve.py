@@ -104,9 +104,7 @@ def _floor_cell_seconds() -> "tuple[float, float]":
     ensemble = generate_ensemble("section8-hom", n_instances=FLOOR_N, seed=17)
     floor = 0.5
     t0 = time.perf_counter()
-    solved, failure, values = batch_heuristic_best(
-        ensemble, BOUNDS, which=METHOD, min_reliability=floor
-    )
+    out = batch_heuristic_best(ensemble, BOUNDS, which=METHOD, min_reliability=floor)
     batched_seconds = time.perf_counter() - t0
     ell = from_reliability(floor)
     t0 = time.perf_counter()
@@ -117,8 +115,8 @@ def _floor_cell_seconds() -> "tuple[float, float]":
                 which=METHOD, selection="feasible-best",
                 min_log_reliability=ell,
             )
-            assert bool(solved[i, pt]) == res.feasible
-            assert float(failure[i, pt]) == res.failure_probability
+            assert bool(out.solved[i, pt]) == res.feasible
+            assert float(out.failure[i, pt]) == res.failure_probability
     looped_seconds = time.perf_counter() - t0
     return looped_seconds, batched_seconds
 

@@ -27,7 +27,7 @@
   :func:`batch_minimize_period` / :func:`batch_minimize_latency` for
   the converse objectives on homogeneous rows, and
   :func:`batch_bisection_search` for the heterogeneous searches.  All
-  are bit-identical to the per-instance loop;
+  return a :class:`BatchResult` bit-identical to the per-instance loop;
   :func:`heuristic_solve_batch` / :func:`search_solve_batch` package
   them as the registry's ``solve_batch`` capability, and
   :class:`BatchUnsupported` is the fallback signal (with a
@@ -43,6 +43,7 @@ from repro.algorithms.dp_period import (
 )
 from repro.algorithms.allocation import algo_alloc, algo_alloc_het
 from repro.algorithms.batch import (
+    BatchResult,
     BatchUnsupported,
     batch_heuristic_best,
     heuristic_solve_batch,
@@ -79,6 +80,7 @@ __all__ = [
     "minimize_latency",
     "algo_alloc",
     "algo_alloc_het",
+    "BatchResult",
     "BatchUnsupported",
     "batch_heuristic_best",
     "batch_minimize_latency",

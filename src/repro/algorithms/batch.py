@@ -48,9 +48,9 @@ floor, for unseeded methods:
   select-then-check.
 
 Other objectives raise :class:`BatchUnsupported` (with a
-machine-readable ``reason``), and callers — the harness, the worker
-shards — fall back to the per-row path.  Fallback is a contract, not
-an error.  The converse-objective kernels live in
+machine-readable ``reason``), and the harness falls back to the
+per-row path.  Fallback is a contract, not an error.  The
+converse-objective kernels live in
 :mod:`repro.algorithms.batch_dp` (dp-period / dp-latency) and
 :mod:`repro.algorithms.batch_search` (the bisection searches, built on
 this module's probe tables).
@@ -68,13 +68,14 @@ tables the search kernels bisect over.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.util import logrel
 
 __all__ = [
+    "BatchResult",
     "BatchUnsupported",
     "batch_heuristic_best",
     "floor_log_reliability",
@@ -97,6 +98,24 @@ class BatchUnsupported(Exception):
     def __init__(self, message: str, *, reason: str = "unsupported") -> None:
         super().__init__(message)
         self.reason = reason
+
+
+class BatchResult(NamedTuple):
+    """What every ``solve_batch`` kernel returns for ``rows`` x ``bounds``.
+
+    ``solved`` / ``failure`` / ``objective_values`` are arrays of shape
+    ``(len(rows), len(bounds))``: feasibility flags, failure
+    probabilities (1.0 where unsolved) and achieved objective values.
+    ``infos`` holds one per-row solve-detail dict (``probes`` totals, a
+    ``converged`` flag) in ``rows`` order — exactly what the per-row
+    path accumulates from solve details — or ``None`` for rows, and
+    kernels, that report none.
+    """
+
+    solved: np.ndarray
+    failure: np.ndarray
+    objective_values: np.ndarray
+    infos: list
 
 
 # Element-wise maps over the exact scalar functions the per-instance
@@ -638,7 +657,7 @@ def batch_heuristic_best(
     which: str = "both",
     objective: str = "reliability",
     min_reliability: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> BatchResult:
     """Run a Section 7 heuristic on every ensemble row at every bound.
 
     The batched twin of solving ``heuristic_best(chain, platform,
@@ -668,10 +687,10 @@ def batch_heuristic_best(
 
     Returns
     -------
-    (solved, failure, objective_values):
-        Arrays of shape ``(len(rows), len(bounds))``: feasibility
-        flags, failure probabilities (1.0 where unsolved), and
-        achieved reliabilities (0.0 where unsolved).
+    BatchResult:
+        Achieved reliabilities as ``objective_values`` (0.0 where
+        unsolved); the heuristics report no per-unit details, so
+        ``infos`` is all ``None``.
     """
     _check_supported(ensemble, which, objective)
     if rows is None:
@@ -683,7 +702,7 @@ def batch_heuristic_best(
     failure = np.ones((r, n_pts), dtype=float)
     values = np.zeros((r, n_pts), dtype=float)
     if r == 0:
-        return solved, failure, values
+        return BatchResult(solved, failure, values, [])
 
     floor = floor_log_reliability(min_reliability)
     for idx, table in heuristic_probe_tables(ensemble, rows, which):
@@ -699,7 +718,7 @@ def batch_heuristic_best(
             values[idx, pt] = np.where(
                 feasible, _pyfloat(_reliability_map(ell)), 0.0
             )
-    return solved, failure, values
+    return BatchResult(solved, failure, values, [None] * r)
 
 
 def heuristic_solve_batch(which: str):

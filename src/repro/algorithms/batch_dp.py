@@ -42,11 +42,11 @@ rules the style below follows).
   points) costs one DP per row; a period sweep still runs one DP per
   point but shares the stage table.
 
-dp-period returns the 4-tuple ``solve_batch`` form — the fourth element
-carries the per-row ``info`` dict (``probes`` counts) that the per-row
+Every kernel returns a :class:`~repro.algorithms.batch.BatchResult`.
+dp-period's ``infos`` carry the per-row ``probes`` counts the per-row
 path would have accumulated, so harness events and cache record bytes
-stay identical.  The Pareto-DP scalar paths record no per-unit info, so
-their kernels return the 3-tuple form.
+stay identical; the Pareto-DP scalar paths record no per-unit info, so
+their kernels' ``infos`` are all ``None``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.batch import BatchUnsupported, floor_log_reliability
+from repro.algorithms.batch import BatchResult, BatchUnsupported, floor_log_reliability
 from repro.algorithms.pareto_dp import (
     _fastest, _most_reliable, _reconstruct, _run_dp, _stage_table,
 )
@@ -206,7 +206,7 @@ def batch_minimize_period(
     rows: "Sequence[int] | None" = None,
     objective: str = "period",
     min_reliability: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+) -> BatchResult:
     """Batched ``minimize_period`` over homogeneous ensemble rows.
 
     The kernel twin of calling ``minimize_period(chain, platform,
@@ -216,7 +216,6 @@ def batch_minimize_period(
     switches the scalar probe to the per-row Pareto DP, which is not
     batched — those points fall back).
 
-    Returns ``(solved, failure, objective_values, infos)`` where
     ``infos[row]`` is ``{"probes": total}`` over the row's feasible
     points (``None`` when every point is infeasible — the scalar
     infeasible result records no probe count).
@@ -235,7 +234,7 @@ def batch_minimize_period(
     values = np.full((r, n_pts), math.inf, dtype=float)
     infos: list = [None] * r
     if r == 0:
-        return solved, failure, values, infos
+        return BatchResult(solved, failure, values, infos)
     _require_homogeneous_rows(ensemble, rows, "dp-period")
     if any(not math.isinf(float(L)) for _, L in bounds):
         raise BatchUnsupported(
@@ -275,7 +274,7 @@ def batch_minimize_period(
     # with no candidate within max_period are infeasible with no probe.
     alive = np.flatnonzero(counts.ravel() > 0)
     if alive.size == 0:
-        return solved, failure, values, infos
+        return BatchResult(solved, failure, values, infos)
     hi = counts.ravel()[alive].astype(np.int64) - 1
     lr = lane_row[alive]
     Pa = np.array([float(cands[lr[a]][h]) for a, h in enumerate(hi)])
@@ -317,7 +316,7 @@ def batch_minimize_period(
     for ri in range(r):
         total = int(probes[ri].sum())
         infos[ri] = {"probes": total} if total > 0 else None
-    return solved, failure, values, infos
+    return BatchResult(solved, failure, values, infos)
 
 
 def _batch_frontier_scan(ensemble, bounds, rows, kernel, pick, measure, unsolved):
@@ -337,7 +336,7 @@ def _batch_frontier_scan(ensemble, bounds, rows, kernel, pick, measure, unsolved
     failure = np.ones((r, n_pts), dtype=float)
     values = np.full((r, n_pts), unsolved, dtype=float)
     if r == 0:
-        return solved, failure, values
+        return BatchResult(solved, failure, values, [])
     _require_homogeneous_rows(ensemble, rows, kernel)
     for P, L in bounds:
         if float(P) <= 0 or float(L) <= 0:
@@ -367,7 +366,7 @@ def _batch_frontier_scan(ensemble, bounds, rows, kernel, pick, measure, unsolved
                     scored[payload] = (ev.failure_probability, measure(ev))
                 solved[ri, pt] = True
                 failure[ri, pt], values[ri, pt] = scored[payload]
-    return solved, failure, values
+    return BatchResult(solved, failure, values, [None] * r)
 
 
 def batch_pareto_dp(
@@ -377,14 +376,14 @@ def batch_pareto_dp(
     rows: "Sequence[int] | None" = None,
     objective: str = "reliability",
     min_reliability: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> BatchResult:
     """Batched ``pareto_dp_best`` over homogeneous ensemble rows.
 
     One Pareto-DP run per (row, distinct period bound) with the group's
     largest latency budget serves every sweep point; each point takes
     the most reliable final point within its own budget (see the module
-    docstring).  Returns ``(solved, failure, reliability)`` — 0.0
-    reliability where unsolved, as the per-row results report.
+    docstring).  ``objective_values`` are reliabilities — 0.0 where
+    unsolved, as the per-row results report.
     """
     if objective != "reliability":
         raise BatchUnsupported(
@@ -411,15 +410,13 @@ def batch_minimize_latency(
     rows: "Sequence[int] | None" = None,
     objective: str = "latency",
     min_reliability: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> BatchResult:
     """Batched ``minimize_latency`` over homogeneous ensemble rows.
 
     One Pareto-DP run per (row, distinct period bound) with the group's
     largest latency budget serves every sweep point (see the module
     docstring for why the shared frontier restricted to a point's
-    budget equals that point's own run).  The scalar path records no
-    per-unit info for dp-latency, so this kernel returns the 3-tuple
-    form.
+    budget equals that point's own run).
     """
     if objective != "latency":
         raise BatchUnsupported(

@@ -14,8 +14,8 @@ probe sequence — and its probe *count* and ``converged`` flag —
 exactly; the bit-identity contract of :mod:`repro.algorithms.batch`
 carries over unchanged.
 
-The kernels return the 4-tuple ``solve_batch`` form: the fourth
-element is the per-row info (``probes`` summed over the row's sweep
+The kernels' :class:`~repro.algorithms.batch.BatchResult` ``infos``
+carry the per-row details (``probes`` summed over the row's sweep
 points — infeasible points count their single refused probe, as the
 scalar details do — and ``converged`` ANDed over feasible points),
 matching what the harness accumulates from per-row details.
@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.batch import (
+    BatchResult,
     BatchUnsupported,
     _failure_map,
     _pyfloat,
@@ -46,7 +47,7 @@ def batch_bisection_search(
     rows: "Sequence[int] | None" = None,
     criterion: str = "period",
     min_reliability: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+) -> BatchResult:
     """Run a bisection search on every ensemble row at every bound.
 
     The batched twin of calling ``minimize_period_search`` /
@@ -72,7 +73,7 @@ def batch_bisection_search(
     values = np.full((r, n_pts), math.inf, dtype=float)
     infos: list = [None] * r
     if r == 0 or n_pts == 0:
-        return solved, failure, values, infos
+        return BatchResult(solved, failure, values, infos)
     for P, L in bounds:
         if float(P) <= 0 or float(L) <= 0:
             raise ValueError("bounds must be > 0")
@@ -165,7 +166,7 @@ def batch_bisection_search(
         if solved[ri].any():
             info["converged"] = bool(conv2[ri][solved[ri]].all())
         infos[ri] = info
-    return solved, failure, values, infos
+    return BatchResult(solved, failure, values, infos)
 
 
 def search_solve_batch(criterion: str):

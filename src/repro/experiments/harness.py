@@ -56,7 +56,8 @@ bounds list.  Units are
   declarative scenario (:mod:`repro.scenarios`) — the scenario spec's
   content hash (:mod:`repro.experiments.cache`).  A warm sweep
   therefore touches only array bytes: no objects, no JSON;
-* **parallel**: with ``jobs > 1``, uncached units fan out over a
+* **parallel**: with ``jobs > 1``, the uncached units no kernel
+  served fan out over a
   :class:`concurrent.futures.ProcessPoolExecutor` in **columnar
   shards**: workers receive the method *name* plus one payload per
   shard carrying the raw rows of several instances (closures do not
@@ -324,30 +325,6 @@ def _unit_arrays(
     return solved, failure, objective_values, info
 
 
-def _unpack_batch(out, n_rows: int):
-    """Normalize a ``solve_batch`` return to ``(solved, failure, values, infos)``.
-
-    Kernels return three per-row arrays, or four items where the
-    fourth is a per-row list of info dicts (the ``probes`` /
-    ``converged`` aggregates the per-row path derives from solve
-    details) — see :attr:`~repro.experiments.methods.Method
-    .solve_batch`.  The three-tuple form means "no info", exactly like
-    a per-row unit whose solves report no details.
-    """
-    if len(out) == 4:
-        solved, failure, values, infos = out
-        infos = list(infos)
-        if len(infos) != n_rows:
-            raise ValueError(
-                f"solve_batch returned {len(infos)} info entries for "
-                f"{n_rows} rows"
-            )
-    else:
-        solved, failure, values = out
-        infos = [None] * n_rows
-    return solved, failure, values, infos
-
-
 def _solve_shard_payload(
     method_name: str,
     fingerprint: str,
@@ -356,7 +333,6 @@ def _solve_shard_payload(
     seeds: Sequence["int | None"],
     objective: str,
     min_reliability: float,
-    try_batch: bool = True,
     collect_telemetry: bool = False,
 ) -> "tuple[list[tuple], dict | None]":
     """Worker-side entry point: rebuild a columnar shard and run its units.
@@ -373,8 +349,8 @@ def _solve_shard_payload(
     solver.
 
     Returns ``(unit_results, telemetry_snapshot)``.  Each unit result
-    is ``(solved, failure, objective_values, info, source, seconds)``
-    — plain lists/floats, so the payload pickles anywhere.  When
+    is ``(solved, failure, objective_values, info, seconds)`` — plain
+    lists/floats, so the payload pickles anywhere.  When
     *collect_telemetry* is set (the parent has a collector installed),
     the worker aggregates its own spans/counters into a snapshot the
     parent merges; otherwise the snapshot is ``None`` and nothing is
@@ -397,38 +373,6 @@ def _solve_shard_payload(
     )
 
     def run_units() -> "list[tuple]":
-        if try_batch and method.solve_batch is not None and all(s is None for s in seeds):
-            # The batched path covers the whole shard or none of it; a
-            # kernel that rejects the shape drops to the per-unit loop.
-            t0 = time.perf_counter()
-            try:
-                with obs.span("sweep.batch", label=method_name):
-                    solved, failure, objective_values, infos = _unpack_batch(
-                        method.solve_batch(
-                            ensemble,
-                            bounds,
-                            rows=list(range(len(seeds))),
-                            objective=objective,
-                            min_reliability=min_reliability,
-                        ),
-                        len(seeds),
-                    )
-            except BatchUnsupported as exc:
-                obs.counter("sweep.batch_unsupported", len(seeds), label=method_name)
-                obs.counter("sweep.units.fallback", len(seeds), label=exc.reason)
-            else:
-                share = (time.perf_counter() - t0) / max(len(seeds), 1)
-                return [
-                    (
-                        [bool(s) for s in solved[j]],
-                        [float(f) for f in failure[j]],
-                        [float(v) for v in objective_values[j]],
-                        infos[j],
-                        "batch",
-                        share,
-                    )
-                    for j in range(len(seeds))
-                ]
         out = []
         for j, seed in enumerate(seeds):
             t0 = time.perf_counter()
@@ -442,7 +386,6 @@ def _solve_shard_payload(
                     [float(f) for f in failure],
                     [float(v) for v in objective_values],
                     info,
-                    "worker",
                     time.perf_counter() - t0,
                 )
             )
@@ -703,33 +646,27 @@ def run_sweep(
                         )
                         solved[mi, :, ii] = unit_solved
                         failure[mi, :, ii] = unit_failure
-                        if unit_values is not None:
-                            objective_values[mi, :, ii] = unit_values
-                            event = {
-                                "method": method.name,
-                                "instance": ii,
-                                "source": "cache",
-                                "solved": int(unit_solved.sum()),
-                                "seconds": None,
-                            }
-                            if unit_info:
-                                event.update(unit_info)
-                            unit_events.append(event)
-                            obs.counter("sweep.units.cached", label=method.name)
-                            continue
-                        # An entry without objective values (stored
-                        # through the bare put() API) cannot serve the
-                        # new aggregations; recompute it below.
+                        objective_values[mi, :, ii] = unit_values
+                        event = {
+                            "method": method.name,
+                            "instance": ii,
+                            "source": "cache",
+                            "solved": int(unit_solved.sum()),
+                            "seconds": None,
+                        }
+                        if unit_info:
+                            event.update(unit_info)
+                        unit_events.append(event)
+                        obs.counter("sweep.units.cached", label=method.name)
+                        continue
                 pending.append((mi, ii, unit_seed, key))
     timings["cache_lookup"] = time.perf_counter() - t0
 
     # The units whose batch kernel refused the shape: their per-row
     # recomputation is a *fallback*, and the ledger says why (the
-    # BatchUnsupported reason class).  Refused groups are remembered so
-    # worker shards skip the doomed kernel retry.
+    # BatchUnsupported reason class).
     fallback_units: dict[tuple[int, int], str] = {}
     refused: list[tuple[str, str, int]] = []
-    refused_groups: set[tuple[int, int]] = set()
 
     def finish(mi: int, ii: int, key: "str | None",
                unit_solved: np.ndarray, unit_failure: np.ndarray,
@@ -778,7 +715,8 @@ def run_sweep(
     # Batched path: solve whole (method, ensemble) groups in one
     # kernel call.  Only unseeded units qualify (per-unit seeds are a
     # per-row concept), and a kernel that rejects the shape leaves its
-    # group pending for the per-row machinery below.
+    # group pending for the per-row machinery below — so every unit
+    # that reaches a worker shard is seeded, kernel-free, or refused.
     batch_units = 0
     t0 = time.perf_counter()
     if batch in (True, "auto"):
@@ -792,16 +730,12 @@ def run_sweep(
             t_group = time.perf_counter()
             try:
                 with obs.span("sweep.batch", label=methods[mi].name):
-                    (group_solved, group_failure, group_values,
-                     group_infos) = _unpack_batch(
-                        methods[mi].solve_batch(
-                            ensembles[ei],
-                            bounds,
-                            rows=[row_of[u[1]] for u in units],
-                            objective=objective,
-                            min_reliability=min_reliability,
-                        ),
-                        len(units),
+                    out = methods[mi].solve_batch(
+                        ensembles[ei],
+                        bounds,
+                        rows=[row_of[u[1]] for u in units],
+                        objective=objective,
+                        min_reliability=min_reliability,
                     )
             except BatchUnsupported as exc:
                 # Attribution: these units now fall back to the
@@ -809,20 +743,26 @@ def run_sweep(
                 for u in units:
                     fallback_units[(u[0], u[1])] = exc.reason
                 refused.append((methods[mi].name, exc.reason, len(units)))
-                refused_groups.add((mi, ei))
                 obs.counter("sweep.batch_unsupported", len(units),
                             label=methods[mi].name)
                 obs.counter("sweep.units.fallback", len(units),
                             label=exc.reason)
                 continue
+            # solve_batch may be user-registered code: a per-row info
+            # list of the wrong length would misattribute details.
+            if len(out.infos) != len(units):
+                raise ValueError(
+                    f"solve_batch returned {len(out.infos)} info entries "
+                    f"for {len(units)} rows"
+                )
             share = (time.perf_counter() - t_group) / max(len(units), 1)
             for r, unit in enumerate(units):
                 finish(
                     unit[0], unit[1], unit[3],
-                    np.asarray(group_solved[r], dtype=bool),
-                    np.asarray(group_failure[r], dtype=float),
-                    np.asarray(group_values[r], dtype=float),
-                    info=group_infos[r],
+                    np.asarray(out.solved[r], dtype=bool),
+                    np.asarray(out.failure[r], dtype=float),
+                    np.asarray(out.objective_values[r], dtype=float),
+                    info=out.infos[r],
                     source="batch", seconds=share, batch_group=len(units),
                 )
                 served.add(unit)
@@ -879,8 +819,7 @@ def run_sweep(
             futures = {}
             for shard in shards:
                 mi = shard[0][0]
-                ei = ensemble_of[shard[0][1]]
-                ensemble = ensembles[ei]
+                ensemble = ensembles[ensemble_of[shard[0][1]]]
                 fut = pool.submit(
                     _solve_shard_payload,
                     methods[mi].name,
@@ -890,10 +829,6 @@ def run_sweep(
                     [u[2] for u in shard],
                     objective,
                     min_reliability,
-                    # A group the parent's kernel already refused would
-                    # refuse again in the worker — skip the retry (and
-                    # the double-counted fallback telemetry).
-                    batch in (True, "auto") and (mi, ei) not in refused_groups,
                     collect_telemetry,
                 )
                 futures[fut] = shard
@@ -921,17 +856,13 @@ def run_sweep(
                         active.merge(worker_telemetry)
                     for (mi, ii, _unit_seed_, key), unit_result in zip(shard, results):
                         (unit_solved, unit_failure, unit_values,
-                         unit_info, source, unit_seconds) = unit_result
-                        if source == "batch":
-                            batch_units += 1
+                         unit_info, unit_seconds) = unit_result
                         finish(mi, ii, key,
                                np.asarray(unit_solved, dtype=bool),
                                np.asarray(unit_failure, dtype=float),
                                np.asarray(unit_values, dtype=float),
-                               info=unit_info,
-                               source="batch" if source == "batch" else "worker",
-                               seconds=unit_seconds,
-                               batch_group=len(shard) if source == "batch" else None)
+                               info=unit_info, source="worker",
+                               seconds=unit_seconds)
     timings["solve"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_sweep
 

@@ -1,6 +1,7 @@
 """The batched solving layer: kernel-level bit-identity with the
 per-instance heuristics, the harness's batch serving and fallback, the
-registry's solve_batch capability, and the worker-shard batch path."""
+registry's solve_batch capability, and how parallel sweeps split work
+between the parent's kernels and the worker shards."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
+    BatchResult,
     BatchUnsupported,
     batch_bisection_search,
     batch_heuristic_best,
@@ -21,6 +23,7 @@ from repro.experiments import Method, get_method, run_sweep
 from repro.experiments.cache import ResultCache
 from repro.core.ensemble import Ensemble
 from repro.experiments.harness import _unit_arrays
+from repro.obs import telemetry as obs
 from repro.scenarios import generate_ensemble, generate_ensembles, get_scenario
 
 BOUNDS = [(math.inf, math.inf), (600.0, 900.0), (150.0, 400.0)]
@@ -142,12 +145,37 @@ class TestSweepEquivalenceMatrix:
         assert warm_cache.hits == n_units(cold) and warm_cache.puts == 0
         assert np.array_equal(cold.failure, warm.failure)
 
-    def test_parallel_workers_use_batch_shards(self, tmp_path):
-        spec = shrunk_spec("unreliable-links")
-        serial = run_sweep(spec, [get_method("heur-l")], BOUNDS, batch=False)
-        forked = run_sweep(spec, [get_method("heur-l")], BOUNDS, jobs=2)
-        assert np.array_equal(serial.failure, forked.failure)
-        assert np.array_equal(serial.objective_values, forked.objective_values)
+    def test_parallel_sweep_runs_kernels_in_parent(self):
+        """At jobs=2 a kernel method is served whole in the parent, and
+        only the units its kernel refused reach the worker shards —
+        each counted as a fallback exactly once."""
+        spec = shrunk_spec("section8-hom")
+        cells = [
+            ("heur-l", "reliability", "batch", None),
+            ("dp-period", "period", "worker", "latency-bound"),
+        ]
+        for method_name, objective, source, fallback in cells:
+            method = get_method(method_name)
+            serial = run_sweep(spec, [method], BOUNDS, objective=objective,
+                               batch=False)
+            with obs.collect() as telemetry:
+                forked = run_sweep(spec, [method], BOUNDS, objective=objective,
+                                   jobs=2)
+            assert np.array_equal(serial.solved, forked.solved)
+            assert np.array_equal(serial.failure, forked.failure)
+            assert np.array_equal(serial.objective_values, forked.objective_values)
+            units = n_units(forked)
+            assert [e["source"] for e in forked.unit_events] == [source] * units
+            assert [e.get("batch_fallback") for e in forked.unit_events] == (
+                [fallback] * units
+            )
+            fallbacks = {k: v for k, v in telemetry.counters.items()
+                         if k.startswith("sweep.units.fallback")}
+            if fallback is None:
+                assert forked.batch_units == units and fallbacks == {}
+            else:
+                assert forked.batch_units == 0
+                assert fallbacks == {f"sweep.units.fallback[{fallback}]": units}
 
     def test_batch_flag_validated(self):
         with pytest.raises(ValueError, match="batch"):
@@ -167,41 +195,43 @@ class TestKernelBitIdentity:
     )
     def test_matches_per_row_loop(self, scenario, which):
         ensemble = generate_ensemble(shrunk_spec(scenario), seed=11)
-        solved, failure, values = batch_heuristic_best(
-            ensemble, BOUNDS, which=which
-        )
+        out = batch_heuristic_best(ensemble, BOUNDS, which=which)
+        assert out.infos == [None] * len(ensemble)
         for i, (chain, platform) in enumerate(ensemble):
             for pt, (P, L) in enumerate(BOUNDS):
                 res = heuristic_best(
                     chain, platform, max_period=P, max_latency=L,
                     which=which, selection="feasible-best",
                 )
-                assert bool(solved[i, pt]) == res.feasible
-                assert float(failure[i, pt]) == res.failure_probability
-                assert float(values[i, pt]) == res.objective_value("reliability")
+                assert bool(out.solved[i, pt]) == res.feasible
+                assert float(out.failure[i, pt]) == res.failure_probability
+                assert float(out.objective_values[i, pt]) == res.objective_value(
+                    "reliability"
+                )
 
     def test_rows_subset(self):
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=3)
         full = batch_heuristic_best(ensemble, BOUNDS)
         part = batch_heuristic_best(ensemble, BOUNDS, rows=[2, 0])
-        for whole, sub in zip(full, part):
+        for whole, sub in zip(full[:3], part[:3]):
             assert np.array_equal(sub[0], whole[2])
             assert np.array_equal(sub[1], whole[0])
+        assert part.infos == [None, None]
 
     def test_empty_rows(self):
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=3)
-        solved, failure, values = batch_heuristic_best(ensemble, BOUNDS, rows=[])
-        assert solved.shape == failure.shape == values.shape == (0, len(BOUNDS))
+        out = batch_heuristic_best(ensemble, BOUNDS, rows=[])
+        assert (out.solved.shape == out.failure.shape
+                == out.objective_values.shape == (0, len(BOUNDS)))
+        assert out.infos == []
 
     def test_unsupported_shapes_raise(self):
         het = generate_ensemble(shrunk_spec("high-heterogeneity"), seed=5)
         hom = generate_ensemble(shrunk_spec("section8-hom"), seed=5)
         # Heterogeneous rows and reliability floors are covered cells
         # now; only a mismatched objective remains unsupported here.
-        solved, _failure, _values = batch_heuristic_best(
-            het, BOUNDS, min_reliability=0.5
-        )
-        assert solved.shape == (len(het), len(BOUNDS))
+        out = batch_heuristic_best(het, BOUNDS, min_reliability=0.5)
+        assert out.solved.shape == (len(het), len(BOUNDS))
         with pytest.raises(BatchUnsupported, match="objective"):
             batch_heuristic_best(hom, BOUNDS, objective="period")
         with pytest.raises(ValueError, match="unknown heuristic"):
@@ -277,17 +307,15 @@ class TestKernelBitIdentity:
         # kernel must hold on each variant independently.
         spec = get_scenario("scaling-stress").spec.with_(n_instances=2)
         for ensemble in generate_ensembles(spec, seed=7):
-            solved, failure, values = batch_heuristic_best(
-                ensemble, BOUNDS[:2], which="heur-p"
-            )
+            out = batch_heuristic_best(ensemble, BOUNDS[:2], which="heur-p")
             for i, (chain, platform) in enumerate(ensemble):
                 for pt, (P, L) in enumerate(BOUNDS[:2]):
                     res = heuristic_best(
                         chain, platform, max_period=P, max_latency=L,
                         which="heur-p", selection="feasible-best",
                     )
-                    assert float(failure[i, pt]) == res.failure_probability
-                    assert float(values[i, pt]) == res.objective_value(
+                    assert float(out.failure[i, pt]) == res.failure_probability
+                    assert float(out.objective_values[i, pt]) == res.objective_value(
                         "reliability"
                     )
 
@@ -312,12 +340,52 @@ class TestMethodCapability:
         )
         assert base.fingerprint() != stripped.fingerprint()
 
+    def test_malformed_kernel_infos_rejected(self):
+        """solve_batch may be user code: a result whose per-row infos do
+        not match the rows fails the sweep instead of misattributing."""
+        base = get_method("heur-l")
+
+        def short_infos(ensemble, bounds, **kwargs):
+            out = base.solve_batch(ensemble, bounds, **kwargs)
+            return out._replace(infos=out.infos[:-1])
+
+        method = Method(name="short-infos", solve=base.solve, exact=False,
+                        homogeneous_only=False, solve_batch=short_infos)
+        with pytest.raises(ValueError, match="info entries"):
+            run_sweep(shrunk_spec("section8-hom"), [method], BOUNDS)
+
+    @pytest.mark.parametrize("method_name,objective,bounds,scenario", [
+        ("heur-l", "reliability", BOUNDS, "section8-het"),
+        ("heur-p", "reliability", BOUNDS, "section8-hom"),
+        ("heuristic", "reliability", BOUNDS, "section8-hom"),
+        ("pareto-dp", "reliability", BOUNDS, "section8-hom"),
+        ("dp-period", "period", PERIOD_BOUNDS, "section8-hom"),
+        ("dp-latency", "latency", BOUNDS, "section8-hom"),
+        ("het-period-search", "period", BOUNDS, "section8-het"),
+        ("het-latency-search", "latency", BOUNDS, "section8-het"),
+    ])
+    def test_builtin_kernels_return_batch_result(
+        self, method_name, objective, bounds, scenario
+    ):
+        """Every builtin solve_batch answers with the one record shape:
+        (rows x bounds) arrays and one infos entry per row."""
+        ensemble = generate_ensemble(shrunk_spec(scenario), seed=5)
+        out = get_method(method_name).solve_batch(
+            ensemble, bounds, objective=objective
+        )
+        assert isinstance(out, BatchResult)
+        shape = (len(ensemble), len(bounds))
+        assert out.solved.shape == out.failure.shape == shape
+        assert out.objective_values.shape == shape
+        assert len(out.infos) == len(ensemble)
+
     def test_solve_batch_closure_matches_kernel(self):
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=2)
         via_method = get_method("heur-p").solve_batch(ensemble, BOUNDS)
         direct = batch_heuristic_best(ensemble, BOUNDS, which="heur-p")
-        for a, b in zip(via_method, direct):
-            assert np.array_equal(a, b)
+        for field in ("solved", "failure", "objective_values"):
+            assert np.array_equal(getattr(via_method, field), getattr(direct, field))
+        assert via_method.infos == direct.infos
 
 
 #: (method, objective, bounds, scenario) per converse-objective kernel
@@ -348,27 +416,22 @@ class TestConverseKernels:
         out = method.solve_batch(
             ensemble, bounds, objective=objective, min_reliability=floor
         )
-        if len(out) == 4:
-            solved, failure, values, infos = out
-        else:
-            solved, failure, values = out
-            infos = [None] * len(ensemble)
         for i in range(len(ensemble)):
             u_solved, u_failure, u_values, u_info = _unit_arrays(
                 method, ensemble[i], bounds, None, objective, floor
             )
-            assert np.array_equal(np.asarray(solved[i], dtype=bool), u_solved)
-            assert np.array_equal(np.asarray(failure[i], dtype=float), u_failure)
-            assert np.array_equal(np.asarray(values[i], dtype=float), u_values)
-            assert infos[i] == u_info
+            assert np.array_equal(np.asarray(out.solved[i], dtype=bool), u_solved)
+            assert np.array_equal(np.asarray(out.failure[i], dtype=float), u_failure)
+            assert np.array_equal(
+                np.asarray(out.objective_values[i], dtype=float), u_values
+            )
+            assert out.infos[i] == u_info
 
     def test_search_infos_count_probes(self):
         ensemble = generate_ensemble(shrunk_spec("section8-het"), seed=13)
-        _solved, _failure, _values, infos = batch_bisection_search(
-            ensemble, BOUNDS, criterion="period"
-        )
+        out = batch_bisection_search(ensemble, BOUNDS, criterion="period")
         assert all(info is not None and info["probes"] >= len(BOUNDS)
-                   for info in infos)
+                   for info in out.infos)
 
     def test_rows_subset(self):
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
@@ -377,14 +440,12 @@ class TestConverseKernels:
         for whole, sub in zip(full[:3], part[:3]):
             assert np.array_equal(sub[0], whole[2])
             assert np.array_equal(sub[1], whole[0])
-        assert part[3] == [full[3][2], full[3][0]]
+        assert part.infos == [full.infos[2], full.infos[0]]
 
     def test_empty_rows(self):
         ensemble = generate_ensemble(shrunk_spec("section8-hom"), seed=13)
-        solved, failure, values, infos = batch_minimize_period(
-            ensemble, PERIOD_BOUNDS, rows=[]
-        )
-        assert solved.shape == (0, len(PERIOD_BOUNDS)) and infos == []
+        out = batch_minimize_period(ensemble, PERIOD_BOUNDS, rows=[])
+        assert out.solved.shape == (0, len(PERIOD_BOUNDS)) and out.infos == []
 
 
 class TestFloorSweeps:
@@ -426,9 +487,7 @@ class TestFloorSweeps:
 
         ensemble = generate_ensemble(shrunk_spec("unreliable-links"), seed=13)
         for floor in (0.5, 1.0 - 1e-12):
-            solved, failure, values = batch_heuristic_best(
-                ensemble, BOUNDS, min_reliability=floor
-            )
+            out = batch_heuristic_best(ensemble, BOUNDS, min_reliability=floor)
             for i, (chain, platform) in enumerate(ensemble):
                 for pt, (P, L) in enumerate(BOUNDS):
                     res = heuristic_best(
@@ -436,9 +495,9 @@ class TestFloorSweeps:
                         which="both", selection="feasible-best",
                         min_log_reliability=from_reliability(floor),
                     )
-                    assert bool(solved[i, pt]) == res.feasible
-                    assert float(failure[i, pt]) == res.failure_probability
-                    assert float(values[i, pt]) == res.objective_value(
+                    assert bool(out.solved[i, pt]) == res.feasible
+                    assert float(out.failure[i, pt]) == res.failure_probability
+                    assert float(out.objective_values[i, pt]) == res.objective_value(
                         "reliability"
                     )
 
@@ -576,15 +635,15 @@ class TestParetoDPKernel:
         ensemble = generate_ensemble(shrunk_spec("unreliable-links"), seed=13)
         method = get_method("pareto-dp")
         for bounds in pareto_axes([ensemble]).values():
-            solved, failure, values = batch_pareto_dp(ensemble, bounds, rows=[2, 0])
+            out = batch_pareto_dp(ensemble, bounds, rows=[2, 0])
             for r, i in enumerate([2, 0]):
                 u_solved, u_failure, u_values, u_info = _unit_arrays(
                     method, ensemble[i], bounds, None, "reliability", 0.0
                 )
-                assert np.array_equal(solved[r], u_solved)
-                assert np.array_equal(failure[r], u_failure)
-                assert np.array_equal(values[r], u_values)
-                assert u_info is None
+                assert np.array_equal(out.solved[r], u_solved)
+                assert np.array_equal(out.failure[r], u_failure)
+                assert np.array_equal(out.objective_values[r], u_values)
+                assert out.infos[r] is None and u_info is None
 
     def test_refusals(self):
         het = generate_ensemble(shrunk_spec("high-heterogeneity"), seed=5)
@@ -601,5 +660,5 @@ class TestParetoDPKernel:
             assert exc.value.reason == reason
         with pytest.raises(ValueError, match="bounds"):
             batch_pareto_dp(hom, [(0.0, math.inf)])
-        solved, _failure, _values = batch_pareto_dp(hom, BOUNDS, rows=[])
-        assert solved.shape == (0, len(BOUNDS))
+        out = batch_pareto_dp(hom, BOUNDS, rows=[])
+        assert out.solved.shape == (0, len(BOUNDS)) and out.infos == []
