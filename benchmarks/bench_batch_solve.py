@@ -30,6 +30,10 @@ Metrics (per kernel cell; the acceptance floor is 5x unless stated):
   Pareto-DP runs; median of 5 looped/batched pairs (acceptance floor
   3x: both legs run the same pure-Python DP, so the gain comes from the
   DP count, not from vectorization);
+* ``paper_batch_speedup`` — ``heur-p-paper`` (best-then-check
+  selection, forced Section 7.2 allocation) on section8-het rows, a
+  period-axis sweep shaped like ``repro scenario run section8-het
+  --grid auto``, vs the per-row loop;
 * ``batched_units_per_s`` / ``looped_units_per_s`` — informational
   absolute throughput of the headline cell.
 
@@ -75,6 +79,10 @@ PARETO_PAIRS = 5
 #: rows' compute lower bounds (~500-970 at seed 17) to unconstrained.
 LATENCY_BOUNDS = [(250.0, L) for L in (850.0, 900.0, 950.0, 1000.0,
                                        1100.0, 1200.0, 1400.0, math.inf)]
+PAPER_N = 100
+#: Eight period bounds at one latency bound, spanning section8-het's
+#: auto grid (~0.8 to ~16) from all-infeasible to all-feasible.
+PAPER_BOUNDS = [(P, 20.0) for P in (1.0, 2.0, 3.0, 5.0, 7.0, 9.0, 12.0, 16.0)]
 
 #: Regression-gate metric names (see run_batch_solve_bench).
 BENCH_NAME = "bench_batch_solve"
@@ -167,6 +175,10 @@ def run_batch_solve_bench() -> dict:
         key=lambda pair: pair[0] / pair[1],
     )
     pareto_looped, pareto_batched = pareto_pairs[PARETO_PAIRS // 2]
+    paper_looped, paper_batched = _sweep_pair_seconds(
+        generate_ensemble("section8-het", n_instances=PAPER_N, seed=17),
+        "heur-p-paper", PAPER_BOUNDS, "reliability", PAPER_N,
+    )
 
     emit()
     emit(f"batched solving, {N_INSTANCES} instances x {METHOD} "
@@ -187,6 +199,9 @@ def run_batch_solve_bench() -> dict:
     emit(f"pareto-dp latency axis ({PARETO_N} rows, median pair): "
          f"{pareto_looped:7.3f} / {pareto_batched:7.3f} = "
          f"{pareto_looped / pareto_batched:.1f}x")
+    emit(f"heur-p-paper ({PAPER_N} section8-het rows): "
+         f"{paper_looped:7.3f} / {paper_batched:7.3f} = "
+         f"{paper_looped / paper_batched:.1f}x")
 
     return {
         "batch_speedup": looped_seconds / batched_seconds,
@@ -194,6 +209,7 @@ def run_batch_solve_bench() -> dict:
         "batch_dp_period_speedup": dp_looped / dp_batched,
         "het_batch_speedup": het_looped / het_batched,
         "pareto_batch_speedup": pareto_looped / pareto_batched,
+        "paper_batch_speedup": paper_looped / paper_batched,
         "batched_units_per_s": n_units / batched_seconds,
         "looped_units_per_s": n_units / looped_seconds,
     }
@@ -209,6 +225,7 @@ def test_batch_solve_throughput(benchmark):
     assert metrics["batch_dp_period_speedup"] > 5.0
     assert metrics["het_batch_speedup"] > 5.0
     assert metrics["pareto_batch_speedup"] > 3.0
+    assert metrics["paper_batch_speedup"] > 5.0
 
     ensemble = generate_ensemble("section8-hom", n_instances=200, seed=17)
     methods = [get_method(METHOD)]

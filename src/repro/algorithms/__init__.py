@@ -22,7 +22,8 @@
 * Batched kernels (:mod:`repro.algorithms.batch`,
   :mod:`repro.algorithms.batch_dp`, :mod:`repro.algorithms.batch_search`)
   — :func:`batch_heuristic_best` evaluates a Section 7 heuristic over
-  every row of a columnar ensemble in one call;
+  every row of a columnar ensemble in one call, under either selection
+  rule and allocation mode of :func:`heuristic_best`;
   :func:`batch_pareto_dp` does the same for the exact Pareto DP,
   :func:`batch_minimize_period` / :func:`batch_minimize_latency` for
   the converse objectives on homogeneous rows, and

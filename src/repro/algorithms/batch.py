@@ -43,9 +43,16 @@ floor, for unseeded methods:
   Section 7.2 allocation filters on the period bound, so every probe
   re-runs a lockstep Algo-Alloc across all rows at once
   (:class:`_HetTable` / :func:`_algo_alloc_het_lockstep`).
-* **Floors** — feasible-best maximizes log-reliability, so masking
-  sub-floor candidates before the argmax is exactly the scalar
-  select-then-check.
+* **Forced Section 7.2 allocation** — ``allocation="het"`` (the
+  paper variants ``heur-l-paper`` / ``heur-p-paper``) sends homogeneous
+  rows down the heterogeneous path too, as ``heuristic_best`` does.
+* **Both selection rules** (:func:`_select`) — ``"feasible-best"``
+  masks the candidates missing ``P``, ``L`` or the floor, then takes
+  the first most reliable; since it maximizes log-reliability, masking
+  the floor first is exactly the scalar select-then-check.
+  ``"best-then-check"`` takes the first most reliable *allocated*
+  candidate with no bound mask, and the row is feasible only if that
+  candidate meets ``P``, ``L`` and the floor.
 
 Other objectives raise :class:`BatchUnsupported` (with a
 machine-readable ``reason``), and the harness falls back to the
@@ -60,7 +67,8 @@ Entry points
 :func:`batch_heuristic_best` is the kernel;
 :func:`heuristic_solve_batch` packages it as the ``solve_batch``
 capability the method registry attaches to ``heur-l`` / ``heur-p`` /
-``heuristic`` (see :mod:`repro.experiments.methods`);
+``heuristic`` and the paper variants ``heur-l-paper`` /
+``heur-p-paper`` (see :mod:`repro.experiments.methods`);
 :func:`heuristic_probe_tables` exposes the per-platform-kind probe
 tables the search kernels bisect over.
 """
@@ -150,9 +158,17 @@ def _pyfloat(mapped: np.ndarray) -> np.ndarray:
     return mapped.astype(float)
 
 
-def _check_supported(ensemble, which: str, objective: str) -> None:
+def _check_heuristic(which: str, selection: str, allocation: str) -> None:
+    """The argument checks of :func:`~repro.algorithms.heuristic_best`."""
     if which not in ("heur-l", "heur-p", "both"):
         raise ValueError(f"unknown heuristic {which!r}")
+    if selection not in ("feasible-best", "best-then-check"):
+        raise ValueError(f"unknown selection rule {selection!r}")
+    if allocation not in ("auto", "het"):
+        raise ValueError(f"unknown allocation mode {allocation!r}")
+
+
+def _check_supported(objective: str) -> None:
     if objective != "reliability":
         raise BatchUnsupported(
             f"batched heuristics cover objective 'reliability' only, "
@@ -336,6 +352,40 @@ def _candidate_metrics(
     return log_rel, wp, wl
 
 
+def _select(
+    valid: np.ndarray,
+    ell: np.ndarray,
+    wp: np.ndarray,
+    wl: np.ndarray,
+    P: np.ndarray,
+    L: np.ndarray,
+    floor: float,
+    selection: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``heuristic_best``'s selection over ``(C, r)`` candidate tables.
+
+    *valid* marks the allocated candidates (the scalar path skips a
+    ``None`` mapping).  ``"feasible-best"`` masks the candidates that
+    miss ``P``, ``L`` or the floor before the argmax — equivalent to the
+    scalar select-then-check because it maximizes log-reliability.
+    ``"best-then-check"`` picks among every valid candidate, then the
+    row is feasible only if that pick meets all three.  Either way the
+    pick is the first candidate attaining the maximum — the scalar
+    strict ``>`` tie-break.  Returns ``(feasible, ell, wp, wl)`` of the
+    pick per row, garbage where infeasible.
+    """
+    meets = (wp <= P) & (wl <= L)
+    if floor > -math.inf:
+        meets &= ell >= floor
+    pool = valid & meets if selection == "feasible-best" else valid
+    key = np.where(pool, ell, -math.inf)
+    best = key.max(axis=0)
+    chosen = np.argmax(pool & (key == best), axis=0)
+    ridx = np.arange(ell.shape[1])
+    feasible = pool.any(axis=0) & meets[chosen, ridx]
+    return feasible, ell[chosen, ridx], wp[chosen, ridx], wl[chosen, ridx]
+
+
 class _HomTable:
     """Bounds-independent candidate metrics for homogeneous rows.
 
@@ -381,33 +431,23 @@ class _HomTable:
         self.wl = np.stack(cand_wl)
 
     def probe(
-        self, P: np.ndarray, L: np.ndarray, floor: float
+        self,
+        P: np.ndarray,
+        L: np.ndarray,
+        floor: float,
+        selection: str = "feasible-best",
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Feasible-best selection at per-row bounds.
+        """Select a candidate per row at per-row bounds.
 
         *P*, *L* are ``(r,)`` vectors (a scalar sweep point broadcasts;
         the search kernels pass per-lane bisection midpoints).  Returns
         ``(feasible, ell, wp, wl)`` of the selected candidate per row
-        — garbage where infeasible, masked by the caller.
+        — garbage where infeasible, masked by the caller.  Algo-Alloc
+        allocates every homogeneous candidate, so all are valid.
         """
-        mask = (self.wp <= P) & (self.wl <= L)
-        if floor > -math.inf:
-            # Feasible-best maximizes log-reliability, so masking the
-            # floor before the argmax selects exactly the candidate the
-            # scalar path selects and then checks against the floor.
-            mask &= self.ell >= floor
-        feasible = mask.any(axis=0)
-        key = np.where(mask, self.ell, -math.inf)
-        best = key.max(axis=0)
-        # First feasible candidate attaining the maximum — the scalar
-        # selection's strict-improvement tie-break.
-        chosen = np.argmax(mask & (key == best), axis=0)
-        ridx = np.arange(self.ell.shape[1])
-        return (
-            feasible,
-            self.ell[chosen, ridx],
-            self.wp[chosen, ridx],
-            self.wl[chosen, ridx],
+        valid = np.ones(self.ell.shape, dtype=bool)
+        return _select(
+            valid, self.ell, self.wp, self.wl, P, L, floor, selection
         )
 
 
@@ -590,7 +630,11 @@ class _HetTable:
         return log_rel, wp, wl
 
     def probe(
-        self, P: np.ndarray, L: np.ndarray, floor: float
+        self,
+        P: np.ndarray,
+        L: np.ndarray,
+        floor: float,
+        selection: str = "feasible-best",
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Allocate + evaluate + select at per-row bounds.
 
@@ -609,36 +653,29 @@ class _HetTable:
             cand_ell.append(ell)
             cand_wp.append(wp)
             cand_wl.append(wl)
-        valid = np.stack(cand_valid)                        # (C, r)
-        ell = np.stack(cand_ell)
-        wp = np.stack(cand_wp)
-        wl = np.stack(cand_wl)
-        mask = valid & (wp <= P) & (wl <= L)
-        if floor > -math.inf:
-            mask &= ell >= floor
-        feasible = mask.any(axis=0)
-        key = np.where(mask, ell, -math.inf)
-        best = key.max(axis=0)
-        chosen = np.argmax(mask & (key == best), axis=0)
-        ridx = np.arange(ell.shape[1])
-        return (
-            feasible,
-            ell[chosen, ridx],
-            wp[chosen, ridx],
-            wl[chosen, ridx],
+        return _select(
+            np.stack(cand_valid),                           # (C, r)
+            np.stack(cand_ell),
+            np.stack(cand_wp),
+            np.stack(cand_wl),
+            P, L, floor, selection,
         )
 
 
-def heuristic_probe_tables(ensemble, rows: np.ndarray, which: str):
+def heuristic_probe_tables(
+    ensemble, rows: np.ndarray, which: str, *, allocation: str = "auto"
+):
     """Split *rows* by platform kind and build each side's probe table.
 
     Returns ``[(subset_positions, table), ...]`` where positions index
     into *rows*; the shared machinery behind
     :func:`batch_heuristic_best` and the bisection-search kernels
-    (:mod:`repro.algorithms.batch_search`).
+    (:mod:`repro.algorithms.batch_search`).  ``allocation="het"``
+    routes homogeneous rows through :class:`_HetTable` too — the
+    forced Section 7.2 allocation of ``heuristic_best``.
     """
     names = ("heur-p", "heur-l") if which == "both" else (which,)
-    hom = ensemble.homogeneous_rows()[rows]
+    hom = ensemble.homogeneous_rows()[rows] & (allocation == "auto")
     parts = []
     for idx, table_cls in (
         (np.flatnonzero(hom), _HomTable),
@@ -655,22 +692,25 @@ def batch_heuristic_best(
     *,
     rows: "Sequence[int] | None" = None,
     which: str = "both",
+    selection: str = "feasible-best",
+    allocation: str = "auto",
     objective: str = "reliability",
     min_reliability: float = 0.0,
 ) -> BatchResult:
     """Run a Section 7 heuristic on every ensemble row at every bound.
 
     The batched twin of solving ``heuristic_best(chain, platform,
-    max_period=P, max_latency=L, which=which,
-    min_log_reliability=floor)`` per row per sweep point —
-    bit-identical to that loop, one kernel call instead.
+    max_period=P, max_latency=L, which=which, selection=selection,
+    allocation=allocation, min_log_reliability=floor)`` per row per
+    sweep point — bit-identical to that loop, one kernel call instead.
 
     Parameters
     ----------
     ensemble:
         Any :class:`~repro.core.ensemble.Ensemble`: homogeneous rows
         take the bounds-independent candidate table, heterogeneous
-        rows the per-point allocation path (mixed ensembles split).
+        rows the per-point allocation path (mixed ensembles split;
+        ``allocation="het"`` sends every row down the latter).
     bounds:
         ``(max_period, max_latency)`` per sweep point.
     rows:
@@ -678,12 +718,16 @@ def batch_heuristic_best(
     which:
         ``"heur-l"``, ``"heur-p"``, or ``"both"`` (candidate order
         matches :func:`~repro.algorithms.heuristic_best`).
+    selection, allocation:
+        As in :func:`~repro.algorithms.heuristic_best`:
+        ``"feasible-best"`` / ``"best-then-check"`` and ``"auto"`` /
+        ``"het"``.
     objective:
         Must be ``"reliability"`` — anything else raises
         :class:`BatchUnsupported`.
     min_reliability:
-        Reliability floor in ``[0, 1)``; candidates below it are
-        masked before selection (``0.0`` = no floor).
+        Reliability floor in ``[0, 1)``, checked as the scalar path
+        checks it (``0.0`` = no floor).
 
     Returns
     -------
@@ -692,7 +736,8 @@ def batch_heuristic_best(
         unsolved); the heuristics report no per-unit details, so
         ``infos`` is all ``None``.
     """
-    _check_supported(ensemble, which, objective)
+    _check_heuristic(which, selection, allocation)
+    _check_supported(objective)
     if rows is None:
         rows = range(ensemble.n_instances)
     rows = np.asarray(list(rows), dtype=np.int64)
@@ -705,12 +750,13 @@ def batch_heuristic_best(
         return BatchResult(solved, failure, values, [])
 
     floor = floor_log_reliability(min_reliability)
-    for idx, table in heuristic_probe_tables(ensemble, rows, which):
+    tables = heuristic_probe_tables(ensemble, rows, which, allocation=allocation)
+    for idx, table in tables:
         k = idx.size
         for pt, (P, L) in enumerate(bounds):
             P_vec = np.full(k, float(P))
             L_vec = np.full(k, float(L))
-            feasible, ell, _, _ = table.probe(P_vec, L_vec, floor)
+            feasible, ell, _, _ = table.probe(P_vec, L_vec, floor, selection)
             solved[idx, pt] = feasible
             failure[idx, pt] = np.where(
                 feasible, _pyfloat(_failure_map(ell)), 1.0
@@ -721,16 +767,20 @@ def batch_heuristic_best(
     return BatchResult(solved, failure, values, [None] * r)
 
 
-def heuristic_solve_batch(which: str):
+def heuristic_solve_batch(
+    which: str,
+    *,
+    selection: str = "feasible-best",
+    allocation: str = "auto",
+):
     """Package :func:`batch_heuristic_best` as a ``solve_batch`` entry.
 
     The returned callable has the registry's batched-solve signature —
     ``(ensemble, bounds, *, rows, objective, min_reliability)`` — and
     is what :func:`repro.experiments.methods.register_method` attaches
-    to the built-in heuristics.
+    to the built-in heuristics, paper variants included.
     """
-    if which not in ("heur-l", "heur-p", "both"):
-        raise ValueError(f"unknown heuristic {which!r}")
+    _check_heuristic(which, selection, allocation)
 
     def solve_batch(
         ensemble,
@@ -745,6 +795,8 @@ def heuristic_solve_batch(which: str):
             bounds,
             rows=rows,
             which=which,
+            selection=selection,
+            allocation=allocation,
             objective=objective,
             min_reliability=min_reliability,
         )

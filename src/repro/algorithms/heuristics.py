@@ -132,8 +132,11 @@ def heur_p_intervals(
     j, k = n, m
     while k > 1:
         jp = int(arg[k, j])
-        if jp <= 0 and k > 1 and jp < 0:
-            raise AssertionError("broken parent chain in Heur-P DP")
+        if jp < 0:
+            raise RuntimeError(
+                f"Heur-P DP has no parent boundary for the first {j} tasks "
+                f"in {k} intervals (broken parent table)"
+            )
         cuts.append(jp)
         j, k = jp, k - 1
     cuts.reverse()
@@ -236,13 +239,6 @@ def heuristic_best(
     * ``"feasible-best"`` (default): among the candidates meeting both
       bounds, return the most reliable — never misses a feasible
       candidate.
-    ``min_log_reliability`` adds the converse objectives' reliability
-    floor as a feasibility constraint: the selected candidate must also
-    attain the floor, and a run whose best candidate falls below it is
-    infeasible.  Because ``"feasible-best"`` maximizes log-reliability,
-    filtering after selection is equivalent to filtering candidates
-    before it — the same schedule wins either way.
-
     * ``"best-then-check"``: pick the most reliable allocated candidate
       first, then check the bounds.  This reproduces the behaviour the
       paper reports for its heterogeneous experiments — "the number of
@@ -254,6 +250,16 @@ def heuristic_best(
       replicas, the reliability-maximal schedule absorbs them, and its
       worst-case latency overshoots even though a feasible candidate
       existed.
+
+    Either way, ties go to the first candidate in run order (Heur-P
+    before Heur-L for ``"both"``, interval count ascending).
+
+    ``min_log_reliability`` adds the converse objectives' reliability
+    floor as a feasibility constraint: the selected candidate must also
+    attain the floor, and a run whose best candidate falls below it is
+    infeasible.  Because ``"feasible-best"`` maximizes log-reliability,
+    filtering after selection is equivalent to filtering candidates
+    before it — the same schedule wins either way.
 
     Examples
     --------
@@ -285,14 +291,14 @@ def heuristic_best(
             allocation=allocation,
         ):
             tried += 1
-            if cand.mapping is None:
+            ev = cand.evaluation
+            if cand.mapping is None or ev is None:
                 continue
             if selection == "feasible-best" and not cand.feasible:
                 continue
-            assert cand.evaluation is not None
-            key = cand.evaluation.log_reliability
+            key = ev.log_reliability
             if best is None or key > best[0]:
-                best = (key, cand.mapping, cand.evaluation, name, cand.feasible)
+                best = (key, cand.mapping, ev, name, cand.feasible)
     if best is None or not best[4] or best[0] < min_log_reliability:
         return SolveResult.infeasible(
             f"heuristic:{which}", candidates_tried=tried, selection=selection

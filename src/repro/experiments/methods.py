@@ -435,10 +435,11 @@ def _heur(which, selection, allocation="auto"):
     return solve
 
 
-# The standard heuristics carry the columnar kernel: on
-# homogeneous-rows ensembles (reliability objective, no floor) the
-# harness solves whole row groups in one call, bit-identical to the
-# per-row path; other shapes raise BatchUnsupported and fall back.
+# Every heuristic carries the columnar kernel, built with the same
+# selection/allocation arguments as its per-row solve: the harness
+# solves whole row groups (reliability objective) in one call,
+# bit-identical to the per-row path; other objectives raise
+# BatchUnsupported and fall back.
 register_method("heur-l", solve_batch=heuristic_solve_batch("heur-l"))(
     _heur("heur-l", "feasible-best")
 )
@@ -461,10 +462,20 @@ register_method(
 # best-reliability-then-check-bounds selection (see the heuristic_best
 # docstring) — the source of Fig. 12's non-monotone curves.  The
 # planner auto-selects these only for paired (Section 8.2) scenarios.
-register_method("heur-l-paper", tags=("paired",))(
+register_method(
+    "heur-l-paper", tags=("paired",),
+    solve_batch=heuristic_solve_batch(
+        "heur-l", selection="best-then-check", allocation="het"
+    ),
+)(
     _heur("heur-l", "best-then-check", allocation="het")
 )
-register_method("heur-p-paper", tags=("paired",))(
+register_method(
+    "heur-p-paper", tags=("paired",),
+    solve_batch=heuristic_solve_batch(
+        "heur-p", selection="best-then-check", allocation="het"
+    ),
+)(
     _heur("heur-p", "best-then-check", allocation="het")
 )
 

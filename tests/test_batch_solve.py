@@ -323,13 +323,12 @@ class TestKernelBitIdentity:
 class TestMethodCapability:
     def test_builtin_methods_declare_solve_batch(self):
         for name in (
-            "heur-l", "heur-p", "heuristic",
+            "heur-l", "heur-p", "heuristic", "heur-l-paper", "heur-p-paper",
             "pareto-dp", "dp-period", "dp-latency",
             "het-period-search", "het-latency-search",
         ):
             assert get_method(name).solve_batch is not None
-        for name in ("anneal", "heur-l-paper", "ilp",
-                     "brute-force", "energy-greedy"):
+        for name in ("anneal", "ilp", "brute-force", "energy-greedy"):
             assert get_method(name).solve_batch is None
 
     def test_fingerprint_covers_solve_batch(self):
@@ -524,7 +523,7 @@ class TestForcedAndFallback:
 
     def test_forced_batch_leaves_kernel_free_methods_alone(self):
         sweep = run_sweep(
-            shrunk_spec("section8-hom"), [get_method("heur-l-paper")],
+            shrunk_spec("section8-hom"), [get_method("ilp")],
             BOUNDS, batch=True,
         )
         assert sweep.batch_units == 0
@@ -662,3 +661,193 @@ class TestParetoDPKernel:
             batch_pareto_dp(hom, [(0.0, math.inf)])
         out = batch_pareto_dp(hom, BOUNDS, rows=[])
         assert out.solved.shape == (0, len(BOUNDS)) and out.infos == []
+
+
+PAPER_METHODS = ["heur-l-paper", "heur-p-paper"]
+
+
+def paper_bounds(ensemble):
+    """Sweep points scaled to the median compute time ``T`` at mean
+    speed: loose and tight period bounds against loose and tight
+    latency bounds, plus a period bound below every task on every
+    processor (no candidate allocates).  ``(inf, 1.1 T)`` splits the
+    tied candidates of the "ties" shapes, so best-then-check's
+    first-occurrence pick decides feasibility there."""
+    T = float(np.median(ensemble.work.sum(axis=1) / ensemble.speeds.mean(axis=1)))
+    below = float((ensemble.work.min(axis=1) / ensemble.speeds.max(axis=1)).min())
+    return [
+        (math.inf, math.inf),
+        (math.inf, 1.1 * T),
+        (T, 1.2 * T),
+        (T / 2, 1.2 * T),
+        (T / 2, T),
+        (T / 4, 3 * T),
+        (T / 4, math.inf),
+        (0.5 * below, math.inf),
+    ]
+
+
+def paper_edge_ensemble(shape, heterogeneous):
+    """The edge shapes of :func:`edge_ensemble` for the paper variants,
+    optionally on heterogeneous processors (speeds vary; in "ties" no
+    processor fails, so every candidate and every processor rank ties
+    on reliability)."""
+    if not heterogeneous:
+        return edge_ensemble(shape)
+    rng = np.random.default_rng(11)
+    if shape == "n1":
+        return Ensemble([[30.0], [50.0]], [[0.0], [0.0]], [[1.0, 2.0, 0.5]],
+                        [[1e-3, 2e-3, 1e-3]], link_failure_rate=1e-4,
+                        max_replication=2)
+    if shape == "p1":
+        # One processor is homogeneous by definition; vary it per row.
+        work = rng.uniform(5, 50, (3, 4))
+        output = rng.uniform(0, 10, (3, 4))
+        return Ensemble(work, output, [[2.0], [1.0], [0.5]],
+                        [[1e-3], [2e-3], [5e-4]], link_failure_rate=1e-3)
+    if shape == "K>=p":
+        work = rng.uniform(5, 50, (3, 4))
+        output = rng.uniform(0, 10, (3, 4))
+        return Ensemble(work, output, [[1.0, 2.0, 3.0]], [[1e-2, 5e-3, 2e-2]],
+                        link_failure_rate=1e-3, max_replication=5)
+    if shape == "ties":
+        return Ensemble(np.full((2, 5), 10.0), np.full((2, 5), 2.0),
+                        [[1.0, 2.0, 4.0, 1.0]], [[0.0] * 4],
+                        max_replication=2)
+    raise ValueError(shape)
+
+
+def latency_trap():
+    """Two tasks on a fast and a slow processor where the most reliable
+    Heur-L candidate (one interval, replicated on both) has worst-case
+    latency 20, and the other (one interval per processor) has 16."""
+    return Ensemble([[10.0, 10.0]], [[1.0, 0.0]], [[2.0, 1.0]],
+                    [[1e-3, 1e-3]], max_replication=2)
+
+
+class TestPaperHeuristicKernel:
+    """heur-l-paper / heur-p-paper (best-then-check selection, forced
+    Section 7.2 allocation) batched vs per-row: arrays and cache record
+    bytes under the same keys."""
+
+    def assert_sweeps_match(self, tmp_path, ensembles, method_name, bounds):
+        (batched, looped), (bcache, lcache) = sweep_pair(
+            tmp_path, ensembles, get_method(method_name), "reliability", bounds
+        )
+        assert np.array_equal(batched.solved, looped.solved)
+        assert np.array_equal(batched.failure, looped.failure)
+        assert np.array_equal(batched.objective_values, looped.objective_values)
+        assert dict(bcache.backend.scan()) == dict(lcache.backend.scan()) != {}
+        assert batched.batch_units == n_units(batched)
+        assert looped.batch_units == 0
+        return batched
+
+    @pytest.mark.parametrize("method_name", PAPER_METHODS)
+    @pytest.mark.parametrize("side", ["het", "hom_counterpart", "mixed"])
+    def test_section8_het_matches_per_row(self, tmp_path, method_name, side):
+        ensembles = generate_ensembles(
+            get_scenario("section8-het").spec.with_(n_instances=6), seed=3
+        )
+        if side == "hom_counterpart":
+            ensembles = [e.hom_counterpart() for e in ensembles]
+        elif side == "mixed":
+            ensembles = [
+                Ensemble.from_instances(
+                    list(e)[:2] + list(e.hom_counterpart())[2:]
+                )
+                for e in ensembles
+            ]
+            hom = ensembles[0].homogeneous_rows()
+            assert hom.any() and not hom.all()
+        sweep = self.assert_sweeps_match(
+            tmp_path, ensembles, method_name, paper_bounds(ensembles[0])
+        )
+        assert sweep.solved.any() and not sweep.solved.all()
+
+    @pytest.mark.parametrize("method_name", PAPER_METHODS)
+    def test_selection_rule_bites_on_section8_het(self, tmp_path, method_name):
+        """On these het rows best-then-check solves fewer units than
+        feasible-best somewhere — the identity above covers rows where
+        the two rules disagree."""
+        ensembles = generate_ensembles(
+            get_scenario("section8-het").spec.with_(n_instances=6), seed=3
+        )
+        bounds = paper_bounds(ensembles[0])
+        paper = run_sweep(ensembles, [get_method(method_name)], bounds)
+        plain = run_sweep(
+            ensembles, [get_method(method_name.removesuffix("-paper"))], bounds
+        )
+        assert (paper.solved <= plain.solved).all()
+        assert (paper.solved < plain.solved).any()
+
+    @pytest.mark.parametrize("method_name", PAPER_METHODS)
+    @pytest.mark.parametrize("heterogeneous", [False, True])
+    @pytest.mark.parametrize("shape", ["n1", "p1", "K>=p", "ties"])
+    def test_edge_shapes_match_per_row(
+        self, tmp_path, method_name, heterogeneous, shape
+    ):
+        ensemble = paper_edge_ensemble(shape, heterogeneous)
+        bounds = paper_bounds(ensemble)
+        sweep = self.assert_sweeps_match(tmp_path, ensemble, method_name, bounds)
+        # Infinite bounds admit every row; a period bound below every
+        # task on every processor leaves nothing to allocate.
+        assert sweep.solved[0, 0].all()
+        assert not sweep.solved[0, -1].any()
+
+    @pytest.mark.parametrize("method_name", PAPER_METHODS)
+    def test_kernel_floor_matches_per_row(self, method_name):
+        from repro.util.logrel import from_reliability
+
+        ensemble = generate_ensemble(shrunk_spec("section8-het"), seed=13)
+        mixed = Ensemble.from_instances(
+            list(ensemble)[:1] + list(ensemble.hom_counterpart())[1:]
+        )
+        kernel = get_method(method_name).solve_batch
+        which = method_name.removesuffix("-paper")
+        bounds = paper_bounds(mixed)
+        for floor in (0.5, 0.999, 1.0 - 1e-12):
+            out = kernel(mixed, bounds, min_reliability=floor)
+            for i, (chain, platform) in enumerate(mixed):
+                for pt, (P, L) in enumerate(bounds):
+                    res = heuristic_best(
+                        chain, platform, max_period=P, max_latency=L,
+                        which=which, selection="best-then-check",
+                        allocation="het",
+                        min_log_reliability=from_reliability(floor),
+                    )
+                    assert bool(out.solved[i, pt]) == res.feasible
+                    assert float(out.failure[i, pt]) == res.failure_probability
+                    assert float(out.objective_values[i, pt]) == (
+                        res.objective_value("reliability")
+                    )
+
+    def test_best_then_check_rejects_what_feasible_best_finds(self, tmp_path):
+        ensemble = latency_trap()
+        bounds = [(math.inf, 18.0), (math.inf, 20.0)]
+        chain, platform = ensemble[0]
+        for selection, expect in (("feasible-best", [True, True]),
+                                  ("best-then-check", [False, True])):
+            per_row = [
+                heuristic_best(chain, platform, max_period=P, max_latency=L,
+                               which="heur-l", selection=selection,
+                               allocation="het").feasible
+                for P, L in bounds
+            ]
+            out = batch_heuristic_best(ensemble, bounds, which="heur-l",
+                                       selection=selection, allocation="het")
+            assert per_row == out.solved[0].tolist() == expect
+        sweep = self.assert_sweeps_match(tmp_path, ensemble, "heur-l-paper", bounds)
+        assert sweep.solved[0, :, 0].tolist() == [False, True]
+
+    def test_kernel_arguments_mirror_heuristic_best(self):
+        ensemble = latency_trap()
+        with pytest.raises(ValueError, match="unknown selection rule"):
+            batch_heuristic_best(ensemble, BOUNDS, selection="best")
+        with pytest.raises(ValueError, match="unknown allocation mode"):
+            batch_heuristic_best(ensemble, BOUNDS, allocation="hom")
+        with pytest.raises(ValueError, match="unknown selection rule"):
+            heuristic_solve_batch("heur-l", selection="best")
+        with pytest.raises(BatchUnsupported, match="objective"):
+            get_method("heur-p-paper").solve_batch(
+                ensemble, BOUNDS, objective="period"
+            )

@@ -69,6 +69,14 @@ class TestCapabilityGating:
         assert "heur-l-paper" not in hom.selected
         assert "heur-l-paper" in het_paired.selected and "heur-p-paper" in het_paired.selected
 
+    def test_section8_het_plan_is_fully_batched(self):
+        # The paper variants carry the heuristic kernel too, so every
+        # method the paired scenario plans is served in batch.
+        record = plan_methods("section8-het").describe()
+        assert record["batched"] == list(record["selected"]) == [
+            "heur-l", "heur-l-paper", "heur-p", "heur-p-paper",
+        ]
+
     def test_stochastic_opt_in(self):
         default = plan_methods("section8-hom")
         assert "anneal" not in default.selected
