@@ -43,7 +43,7 @@ from repro.algorithms import (
     heuristic_best,
     optimize_reliability,
     optimize_reliability_period,
-    optimize_period_reliability,
+    minimize_period,
     pareto_dp_best,
     ilp_best,
 )
@@ -52,7 +52,7 @@ from repro.algorithms import (
 # (exporting the function here would shadow the submodule attribute).
 from repro.solve import Problem
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "TaskChain",
@@ -65,7 +65,7 @@ __all__ = [
     "random_platform",
     "optimize_reliability",
     "optimize_reliability_period",
-    "optimize_period_reliability",
+    "minimize_period",
     "algo_alloc",
     "algo_alloc_het",
     "heur_l_intervals",

@@ -4,7 +4,8 @@
   optimal, polynomial).
 * Section 5.2, Algorithm 2 — :func:`optimize_reliability_period`
   (homogeneous, optimal under a period bound) and the converse
-  :func:`optimize_period_reliability` (binary search).
+  :func:`minimize_period` (binary search over candidate periods,
+  optionally under a latency bound too).
 * Section 5.4 — :func:`ilp_best` (exact integer program, homogeneous).
 * Section 5.5, Algo-Alloc — :func:`algo_alloc` (optimal greedy
   allocation, Theorem 4) and its Section 7.2 heterogeneous variant
@@ -16,9 +17,11 @@
   and :func:`brute_force_best` (exhaustive oracle for tiny instances,
   objective-aware).
 * Converse objectives (the tri-criteria facade) —
-  :func:`minimize_period` (binary search honoring a latency bound) and
-  :func:`minimize_latency` (Pareto-frontier scan under a reliability
-  floor).
+  :func:`minimize_period` (above) and :func:`minimize_latency`
+  (Pareto-frontier scan under a reliability floor), both exact and
+  homogeneous-only; on any platform, :func:`bisection_search`
+  (:mod:`repro.algorithms.search`) bisects either criterion over
+  Heur-L solves.
 * Batched kernels (:mod:`repro.algorithms.batch`,
   :mod:`repro.algorithms.batch_dp`, :mod:`repro.algorithms.batch_search`)
   — :func:`batch_heuristic_best` evaluates a Section 7 heuristic over
@@ -27,7 +30,7 @@
   :func:`batch_pareto_dp` does the same for the exact Pareto DP,
   :func:`batch_minimize_period` / :func:`batch_minimize_latency` for
   the converse objectives on homogeneous rows, and
-  :func:`batch_bisection_search` for the heterogeneous searches.  All
+  :func:`batch_bisection_search` for :func:`bisection_search`.  All
   return a :class:`BatchResult` bit-identical to the per-instance loop;
   :func:`heuristic_solve_batch` / :func:`search_solve_batch` package
   them as the registry's ``solve_batch`` capability, and
@@ -39,7 +42,6 @@ from repro.algorithms.result import SolveResult
 from repro.algorithms.dp_reliability import optimize_reliability
 from repro.algorithms.dp_period import (
     optimize_reliability_period,
-    optimize_period_reliability,
     minimize_period,
 )
 from repro.algorithms.allocation import algo_alloc, algo_alloc_het
@@ -55,6 +57,7 @@ from repro.algorithms.batch_dp import (
     batch_pareto_dp,
 )
 from repro.algorithms.batch_search import batch_bisection_search, search_solve_batch
+from repro.algorithms.search import bisection_search
 from repro.algorithms.heuristics import (
     heur_l_intervals,
     heur_p_intervals,
@@ -76,7 +79,6 @@ __all__ = [
     "SolveResult",
     "optimize_reliability",
     "optimize_reliability_period",
-    "optimize_period_reliability",
     "minimize_period",
     "minimize_latency",
     "algo_alloc",
@@ -88,6 +90,7 @@ __all__ = [
     "batch_minimize_period",
     "batch_pareto_dp",
     "batch_bisection_search",
+    "bisection_search",
     "heuristic_solve_batch",
     "search_solve_batch",
     "heur_l_intervals",

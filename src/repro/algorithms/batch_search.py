@@ -1,14 +1,14 @@
 """Batched bisection-search kernels: het-period-search / het-latency-search.
 
-The extension searches (:mod:`repro.extensions.period_search`,
-:mod:`repro.extensions.latency_search`) bisect a scalar criterion with
-one Heur-L solve per probe.  Their batched twins run every probe round
-as a single vectorized Heur-L call over *all* not-yet-converged lanes
-— one lane per (row, sweep point), each with its own bracket — on the
-probe tables :func:`~repro.algorithms.batch.heuristic_probe_tables`
-exposes (homogeneous rows reuse the bounds-independent candidate
-table; heterogeneous rows re-run the lockstep Section 7.2 allocation
-per round).  Because a lane's ``(lo, hi)`` trajectory depends only on
+The scalar search (:func:`repro.algorithms.search.bisection_search`)
+bisects one criterion with one Heur-L solve per probe.  Its batched
+twin runs every probe round as a single vectorized Heur-L call over
+*all* not-yet-converged lanes — one lane per (row, sweep point), each
+with its own bracket — on the probe tables
+:func:`~repro.algorithms.batch.heuristic_probe_tables` exposes
+(homogeneous rows reuse the bounds-independent candidate table;
+heterogeneous rows re-run the lockstep Section 7.2 allocation per
+round).  Because a lane's ``(lo, hi)`` trajectory depends only on
 its own probe outcomes, lockstep rounds replicate each scalar search's
 probe sequence — and its probe *count* and ``converged`` flag —
 exactly; the bit-identity contract of :mod:`repro.algorithms.batch`
@@ -36,6 +36,7 @@ from repro.algorithms.batch import (
     floor_log_reliability,
     heuristic_probe_tables,
 )
+from repro.algorithms.search import CRITERIA, MAX_PROBES, REL_TOL
 
 __all__ = ["batch_bisection_search", "search_solve_batch"]
 
@@ -50,18 +51,14 @@ def batch_bisection_search(
 ) -> BatchResult:
     """Run a bisection search on every ensemble row at every bound.
 
-    The batched twin of calling ``minimize_period_search`` /
-    ``minimize_latency_search`` per row per sweep point — bit-identical
-    to that loop, one lockstep kernel instead.  ``criterion`` selects
-    which coordinate is bisected; the other coordinate stays at the
-    sweep point's bound, exactly as the scalar probe passes it.
+    The batched twin of calling
+    :func:`~repro.algorithms.search.bisection_search` per row per sweep
+    point — bit-identical to that loop, one lockstep kernel instead.
+    ``criterion`` selects which coordinate is bisected; the other
+    coordinate stays at the sweep point's bound, exactly as the scalar
+    probe passes it.
     """
-    # The tolerances live next to the scalar search; imported at call
-    # time so this module stays importable from repro.algorithms
-    # without an algorithms <-> extensions import cycle.
-    from repro.extensions.period_search import DEFAULT_MAX_PROBES, DEFAULT_REL_TOL
-
-    if criterion not in ("period", "latency"):
+    if criterion not in CRITERIA:
         raise ValueError(f"unknown search criterion {criterion!r}")
     if rows is None:
         rows = range(ensemble.n_instances)
@@ -82,17 +79,14 @@ def batch_bisection_search(
     work = np.asarray(ensemble.work[rows], dtype=float)
     speeds = np.asarray(ensemble.speeds[rows], dtype=float)
     # The scalar lower brackets, per row: max_i w_i / max_u s_u for the
-    # period, sum_i w_i / max_u s_u for the latency (per-row Python
-    # reductions — the scalar path's float(np.sum(...)) is sequential
-    # over one row, not an axis reduction).
-    if criterion == "period":
-        lo_row = np.array(
-            [float(np.max(work[k])) / float(np.max(speeds[k])) for k in range(r)]
-        )
-    else:
-        lo_row = np.array(
-            [float(np.sum(work[k])) / float(np.max(speeds[k])) for k in range(r)]
-        )
+    # period, sum_i w_i / max_u s_u for the latency (per-row reductions
+    # — the scalar path's float(np.sum(...)) is over one row, not an
+    # axis reduction).
+    period = criterion == "period"
+    reduce = CRITERIA[criterion].reduce
+    lo_row = np.array(
+        [float(reduce(work[k])) / float(np.max(speeds[k])) for k in range(r)]
+    )
 
     # Lane layout: lane = ri * n_pts + pt.
     P_lane = np.tile(np.array([float(P) for P, _ in bounds]), r)
@@ -111,40 +105,36 @@ def batch_bisection_search(
         # scalar probe runs without the floor and checks it after —
         # same thing as masking here, since the probe maximizes ell.
         feas, ell, wp, wl = table.probe(P_p, L_p, -math.inf)
-        wit = wp if criterion == "period" else wl
+        wit = wp if period else wl
         ok = feas & (ell >= floor)
         b_ell = np.where(ok, ell, -math.inf)
         b_wit = np.where(ok, wit, math.inf)
         lo = lo_lane[idx].copy()
         hi = np.where(ok, wit, 0.0)
 
-        active = ok & (probes < DEFAULT_MAX_PROBES) & (
-            hi - lo > DEFAULT_REL_TOL * np.maximum(hi, 1.0)
+        active = ok & (probes < MAX_PROBES) & (
+            hi - lo > REL_TOL * np.maximum(hi, 1.0)
         )
         while active.any():
             mid = 0.5 * (lo + hi)
             probes = np.where(active, probes + 1, probes)
-            if criterion == "period":
-                feas_m, ell_m, wp_m, wl_m = table.probe(
-                    np.where(active, mid, P_p), L_p, -math.inf
-                )
-                wit_m = wp_m
+            if period:
+                bounds_m = (np.where(active, mid, P_p), L_p)
             else:
-                feas_m, ell_m, wp_m, wl_m = table.probe(
-                    P_p, np.where(active, mid, L_p), -math.inf
-                )
-                wit_m = wl_m
+                bounds_m = (P_p, np.where(active, mid, L_p))
+            feas_m, ell_m, wp_m, wl_m = table.probe(*bounds_m, -math.inf)
+            wit_m = wp_m if period else wl_m
             ok_m = feas_m & (ell_m >= floor)
             acc = active & ok_m
             b_ell = np.where(acc, ell_m, b_ell)
             b_wit = np.where(acc, wit_m, b_wit)
             hi = np.where(acc, np.minimum(mid, wit_m), hi)
             lo = np.where(active & ~ok_m, mid, lo)
-            active = ok & (probes < DEFAULT_MAX_PROBES) & (
-                hi - lo > DEFAULT_REL_TOL * np.maximum(hi, 1.0)
+            active = ok & (probes < MAX_PROBES) & (
+                hi - lo > REL_TOL * np.maximum(hi, 1.0)
             )
 
-        conv = (hi - lo) <= DEFAULT_REL_TOL * np.maximum(hi, 1.0)
+        conv = (hi - lo) <= REL_TOL * np.maximum(hi, 1.0)
         probes_lane[idx] = probes
         ok_lane[idx] = ok
         conv_lane[idx] = conv
@@ -173,7 +163,7 @@ def search_solve_batch(criterion: str):
     """Package :func:`batch_bisection_search` as a ``solve_batch`` entry
     for ``het-period-search`` (``criterion="period"``) or
     ``het-latency-search`` (``criterion="latency"``)."""
-    if criterion not in ("period", "latency"):
+    if criterion not in CRITERIA:
         raise ValueError(f"unknown search criterion {criterion!r}")
 
     def solve_batch(

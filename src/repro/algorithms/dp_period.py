@@ -28,11 +28,7 @@ from repro.core.chain import TaskChain
 from repro.core.evaluation import evaluate_mapping
 from repro.core.platform import Platform
 
-__all__ = [
-    "optimize_reliability_period",
-    "optimize_period_reliability",
-    "minimize_period",
-]
+__all__ = ["optimize_reliability_period", "minimize_period"]
 
 
 def optimize_reliability_period(
@@ -89,64 +85,6 @@ def candidate_periods(chain: TaskChain, platform: Platform) -> np.ndarray:
     return np.array(sorted(v for v in values if v > 0.0))
 
 
-def optimize_period_reliability(
-    chain: TaskChain,
-    platform: Platform,
-    min_log_reliability: float,
-) -> SolveResult:
-    """Minimize the period subject to a reliability bound (Section 5.2).
-
-    Binary search over :func:`candidate_periods`, re-running Algorithm 2
-    at each probe; the smallest candidate whose optimal reliability meets
-    ``min_log_reliability`` is the exact optimum.
-
-    Parameters
-    ----------
-    min_log_reliability:
-        Lower bound on ``log r`` (use
-        :func:`repro.util.logrel.from_reliability` to convert a plain
-        reliability).
-    """
-    require_homogeneous(platform, "period minimization under a reliability bound")
-    if min_log_reliability > 0.0 or math.isnan(min_log_reliability):
-        raise ValueError("min_log_reliability must be a log-probability (<= 0)")
-    candidates = candidate_periods(chain, platform)
-
-    # Feasibility check at the loosest bound (equivalent to Algorithm 1).
-    best_unbounded = hom_reliability_dp(chain, platform)
-    if best_unbounded.log_reliability < min_log_reliability:
-        return SolveResult.infeasible(
-            "period-binary-search",
-            min_log_reliability=min_log_reliability,
-            best_achievable=best_unbounded.log_reliability,
-        )
-
-    lo, hi = 0, len(candidates) - 1  # invariant: candidates[hi] feasible
-    probes = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probes += 1
-        dp = hom_reliability_dp(chain, platform, max_period=float(candidates[mid]))
-        if dp.log_reliability >= min_log_reliability:
-            hi = mid
-        else:
-            lo = mid + 1
-    best_period = float(candidates[hi])
-    dp = hom_reliability_dp(chain, platform, max_period=best_period)
-    assert dp.mapping is not None
-    return SolveResult(
-        feasible=True,
-        mapping=dp.mapping,
-        evaluation=evaluate_mapping(dp.mapping),
-        method="period-binary-search",
-        details={
-            "optimal_period": best_period,
-            "probes": probes,
-            "candidates": len(candidates),
-        },
-    )
-
-
 def minimize_period(
     chain: TaskChain,
     platform: Platform,
@@ -156,12 +94,10 @@ def minimize_period(
 ) -> SolveResult:
     """Minimize the period under a reliability floor *and* a latency bound.
 
-    The tri-criteria generalization of
-    :func:`optimize_period_reliability` (which it reduces to when
-    ``max_latency`` is infinite): binary search over
-    :func:`candidate_periods`, probing each candidate with the most
-    reliable mapping that satisfies both the candidate period and the
-    latency bound.  The probe is Algorithm 2
+    The Section 5.2 converse, generalized to three criteria: binary
+    search over :func:`candidate_periods`, probing each candidate with
+    the most reliable mapping that satisfies both the candidate period
+    and the latency bound.  The probe is Algorithm 2
     (:func:`~repro.algorithms._hom_dp.hom_reliability_dp`) when the
     latency is unbounded and the exact Pareto DP
     (:func:`~repro.algorithms.pareto_dp.pareto_dp_best`) otherwise —
@@ -246,16 +182,18 @@ def minimize_period(
             witness = mapping
         else:
             lo = mid + 1
-    best_period = float(candidates[hi])
-    mapping = witness
-    assert mapping is not None
+    if witness is None:
+        raise RuntimeError(
+            f"period probe at {float(candidates[hi])!r} met the bounds "
+            f"without a witness mapping"
+        )
     return SolveResult(
         feasible=True,
-        mapping=mapping,
-        evaluation=evaluate_mapping(mapping),
+        mapping=witness,
+        evaluation=evaluate_mapping(witness),
         method="dp-period",
         details={
-            "optimal_period": best_period,
+            "optimal_period": float(candidates[hi]),
             "probes": probes,
             "candidates": len(candidates),
         },

@@ -84,7 +84,11 @@ class SolveResult:
                 return float(self.details["energy"])
             from repro.extensions.energy import mapping_energy
 
-            assert self.mapping is not None
+            if self.mapping is None:
+                raise RuntimeError(
+                    f"feasible {self.method} result carries no mapping to "
+                    f"price energy on"
+                )
             return mapping_energy(self.mapping)
         raise ValueError(f"unknown objective {objective!r}")
 

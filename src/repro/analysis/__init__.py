@@ -11,9 +11,9 @@ encode the repo's *own* invariants, run on every commit (the
 
 Checkers and their rules
 ------------------------
-* :mod:`~repro.analysis.determinism` — ``DET001``-``DET004``: solver
+* :mod:`~repro.analysis.determinism` — ``DET001``-``DET005``: solver
   and kernel modules may not read clocks, unseeded randomness, or the
-  environment, nor iterate bare sets;
+  environment, nor iterate bare sets, nor ``assert``;
 * :mod:`~repro.analysis.cachekeys` — ``KEY001``-``KEY003``: every
   Problem field the solve path reads must be covered by a cache-key
   ingredient in ``ResultCache.unit_key_for`` (and the method

@@ -29,6 +29,11 @@ inside the solver scope (:data:`SCOPE`):
     or comprehension: set order is insertion/hash dependent, so any
     result influenced by the iteration order is not stable across
     processes.  Iterate ``sorted(...)`` instead.
+``DET005``
+    An ``assert`` statement.  ``python -O`` strips asserts, so a solve
+    path that leans on one for control flow or validation behaves
+    differently under interpreter flags.  Raise an explicit exception
+    (``RuntimeError`` for broken invariants) instead.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ RULES = {
     "DET002": "unseeded or global-state randomness in a solver/kernel module",
     "DET003": "environment read in a solver/kernel module",
     "DET004": "iteration over an unordered set in a solver/kernel module",
+    "DET005": "assert statement in a solver/kernel module",
 }
 register_rules(RULES)
 
@@ -123,6 +129,12 @@ def _check_file(src: SourceFile) -> Iterable[Finding]:
                     "os.environ read; thread configuration through explicit "
                     "arguments so cache keys see it",
                 )
+        elif isinstance(node, ast.Assert):
+            yield src.finding(
+                node, "DET005",
+                "assert is stripped under python -O; raise an explicit "
+                "exception instead",
+            )
         elif isinstance(node, (ast.For, ast.comprehension)):
             target = node.iter
             if _is_bare_set(target, src):

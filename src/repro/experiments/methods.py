@@ -46,6 +46,9 @@ supports only the paper's ``"reliability"`` objective unless noted):
 * ``"dp-latency"`` — minimize the latency under a reliability floor
   and a period bound (:func:`repro.algorithms.minimize_latency`, a
   final-frontier scan of the Pareto DP); exact, homogeneous only.
+* ``"het-period-search"`` / ``"het-latency-search"`` — the same two
+  objectives on any platform, by bisection over Heur-L probes
+  (:func:`repro.algorithms.bisection_search`); heuristic.
 * ``"energy-greedy"`` — minimize the Section 9 dynamic-power energy
   under both bounds and a floor
   (:func:`repro.extensions.energy.minimize_energy`); heuristic, any
@@ -89,6 +92,7 @@ from repro.algorithms.batch_dp import (
     batch_pareto_dp,
 )
 from repro.algorithms.batch_search import search_solve_batch
+from repro.algorithms.search import bisection_search
 from repro.algorithms.result import SolveResult
 from repro.core.platform import Platform
 from repro.solve.problem import Problem
@@ -536,40 +540,31 @@ def _dp_latency(problem):
     )
 
 
-# Binary search over Section 7 heuristic solves — the heterogeneous
-# converse-objective gap-closer: period minimization where the Section 5
-# dp-period theory does not apply.  Heuristic (the probes are), any
-# platform; on homogeneous platforms "auto" still prefers the exact,
-# cheaper dp-period.
-@register_method(
+def _search(criterion):
+    def solve(problem):
+        return bisection_search(
+            problem.chain, problem.platform, criterion,
+            min_log_reliability=problem.min_log_reliability,
+            max_period=problem.max_period, max_latency=problem.max_latency,
+        )
+
+    return solve
+
+
+# Bisection over Section 7 heuristic solves — the heterogeneous
+# converse-objective gap-closers: period / latency minimization where
+# the Section 5 DP theory does not apply, completing method="auto"
+# coverage of every (objective x platform-kind) cell.  Heuristic (the
+# probes are), any platform; on homogeneous platforms "auto" still
+# prefers the exact, cheaper dp-period / dp-latency.
+register_method(
     "het-period-search", cost_hint=12.0, objectives=("period",),
     solve_batch=search_solve_batch("period"),
-)
-def _het_period_search(problem):
-    from repro.extensions.period_search import minimize_period_search
-
-    return minimize_period_search(
-        problem.chain, problem.platform,
-        min_log_reliability=problem.min_log_reliability,
-        max_period=problem.max_period, max_latency=problem.max_latency,
-    )
-
-
-# The latency twin, completing method="auto" coverage of every
-# (objective x platform-kind) cell; on homogeneous platforms "auto"
-# still prefers the exact, cheaper dp-latency.
-@register_method(
+)(_search("period"))
+register_method(
     "het-latency-search", cost_hint=12.0, objectives=("latency",),
     solve_batch=search_solve_batch("latency"),
-)
-def _het_latency_search(problem):
-    from repro.extensions.latency_search import minimize_latency_search
-
-    return minimize_latency_search(
-        problem.chain, problem.platform,
-        min_log_reliability=problem.min_log_reliability,
-        max_period=problem.max_period, max_latency=problem.max_latency,
-    )
+)(_search("latency"))
 
 
 # Section 7 heuristic seeds + replica thinning; any platform.

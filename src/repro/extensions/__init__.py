@@ -15,13 +15,11 @@
   more difficult problems": a simulated-annealing mapper searching the
   space of complete mappings directly, usable on any platform and as a
   quality yardstick for Heur-L/Heur-P.
-* :mod:`repro.extensions.period_search` — period minimization on
-  heterogeneous platforms (where the Section 5.2 converse does not
-  apply) by binary search over Section 7 heuristic solves; registered
-  as the ``het-period-search`` method.
-* :mod:`repro.extensions.latency_search` — the latency twin
-  (``het-latency-search``), completing ``method="auto"`` coverage over
-  every (objective x platform-kind) cell.
+
+Period and latency minimization on heterogeneous platforms (the
+``het-period-search`` / ``het-latency-search`` methods) is one
+bisection search over Section 7 heuristic solves and lives next to
+its batched twin, in :mod:`repro.algorithms.search`.
 """
 
 from repro.extensions.norouting import RoutingComparison, compare_routing
@@ -30,8 +28,6 @@ from repro.extensions.energy import (
     energy_aware_alloc_het,
 )
 from repro.extensions.annealing import AnnealingStats, anneal_mapping
-from repro.extensions.latency_search import minimize_latency_search
-from repro.extensions.period_search import minimize_period_search
 
 __all__ = [
     "RoutingComparison",
@@ -40,6 +36,4 @@ __all__ = [
     "energy_aware_alloc_het",
     "AnnealingStats",
     "anneal_mapping",
-    "minimize_latency_search",
-    "minimize_period_search",
 ]

@@ -197,7 +197,10 @@ def _initial_state(
         chain, platform, max_period=max_period, max_latency=max_latency
     )
     if heur.feasible:
-        assert heur.mapping is not None
+        if heur.mapping is None:
+            raise RuntimeError(
+                "initial heuristic solve reported feasible without a mapping"
+            )
         return heur.mapping
     # Fall back: whole chain on the fastest processor.
     fastest = int(np.argmax(platform.speeds))

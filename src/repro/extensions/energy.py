@@ -265,7 +265,10 @@ def minimize_energy(
         )
         if not seed.feasible:
             continue
-        assert seed.mapping is not None
+        if seed.mapping is None:
+            raise RuntimeError(
+                f"{which} seed solve reported feasible without a mapping"
+            )
         if seed.log_reliability < min_log_reliability:
             # The bounds-respecting reliability maximum misses the
             # floor; no thinning of this candidate can recover it.

@@ -34,7 +34,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.ensemble import Ensemble, ensembles_from_instances
 from repro.obs import telemetry as obs
 from repro.solve.facade import solve
 
@@ -166,17 +165,11 @@ def derive_bounds_grid(
     if not margin >= 1.0:
         raise ValueError(f"margin must be >= 1 (headroom), got {margin}")
 
-    if isinstance(instances, (list, tuple)) or isinstance(instances, Ensemble):
-        ensembles = ensembles_from_instances(instances)
-    else:
-        from repro.scenarios import generate_ensembles, resolve_scenario
+    # The sweep's own resolution: paired ensembles contribute their
+    # heterogeneous side, exactly as run_sweep sees them.
+    from repro.experiments.harness import _resolve_instances
 
-        spec, _ = resolve_scenario(instances)
-        if n_instances is not None:
-            spec = spec.with_(n_instances=n_instances)
-        # Paired ensembles contribute their heterogeneous side — that
-        # is what the views expose, matching run_sweep.
-        ensembles = generate_ensembles(spec, seed=seed)
+    ensembles, _ = _resolve_instances(instances, seed, n_instances, None)
     n_total = sum(len(e) for e in ensembles)
     if not n_total:
         raise ValueError("need at least one instance to derive a grid from")

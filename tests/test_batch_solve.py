@@ -398,6 +398,26 @@ CONVERSE_CELLS = [
     ("het-latency-search", "latency", BOUNDS, "section8-hom"),
 ]
 
+#: Generated edge shapes (see paper_edge_ensemble) through both search
+#: kernels, on homogeneous and heterogeneous processors, at
+#: paper_bounds: infinite bounds through a period bound below every
+#: task.
+SEARCH_EDGE_CELLS = [
+    (f"het-{criterion}-search", criterion, None, f"edge:{shape}:{side}")
+    for criterion in ("period", "latency")
+    for shape in ("n1", "p1", "K>=p", "ties")
+    for side in ("hom", "het")
+]
+
+
+def converse_input(scenario, bounds):
+    """The ensemble and sweep points of one CONVERSE_CELLS entry."""
+    if scenario.startswith("edge:"):
+        _, shape, side = scenario.split(":")
+        ensemble = paper_edge_ensemble(shape, side == "het")
+        return ensemble, paper_bounds(ensemble)
+    return generate_ensemble(shrunk_spec(scenario), seed=13), bounds
+
 
 class TestConverseKernels:
     """The dp/search kernels against the per-row path itself —
@@ -405,12 +425,12 @@ class TestConverseKernels:
     this pins arrays *and* the per-row info (probes/converged)."""
 
     @pytest.mark.parametrize("method_name,objective,bounds,scenario",
-                             CONVERSE_CELLS)
-    @pytest.mark.parametrize("floor", [0.0, 0.9])
+                             CONVERSE_CELLS + SEARCH_EDGE_CELLS)
+    @pytest.mark.parametrize("floor", [0.0, 0.9, 1.0 - 1e-12])
     def test_kernel_rows_match_unit_arrays(
         self, method_name, objective, bounds, scenario, floor
     ):
-        ensemble = generate_ensemble(shrunk_spec(scenario), seed=13)
+        ensemble, bounds = converse_input(scenario, bounds)
         method = get_method(method_name)
         out = method.solve_batch(
             ensemble, bounds, objective=objective, min_reliability=floor
@@ -425,6 +445,11 @@ class TestConverseKernels:
                 np.asarray(out.objective_values[i], dtype=float), u_values
             )
             assert out.infos[i] == u_info
+        if scenario.startswith("edge:"):
+            # A period bound below every task leaves nothing feasible;
+            # infinite bounds without a floor admit every row.
+            assert not out.solved[:, -1].any()
+            assert out.solved[:, 0].all() or floor > 0.0
 
     def test_search_infos_count_probes(self):
         ensemble = generate_ensemble(shrunk_spec("section8-het"), seed=13)

@@ -24,11 +24,6 @@ from repro.experiments import (
 from repro.experiments.cache import ResultCache
 from repro.experiments.figures import run_experiment
 from repro.extensions.energy import mapping_energy, minimize_energy
-from repro.extensions.period_search import (
-    DEFAULT_MAX_PROBES,
-    DEFAULT_REL_TOL,
-    minimize_period_search,
-)
 from repro.io import dumps, loads
 from repro.solve import (
     OBJECTIVES,
@@ -544,31 +539,3 @@ class TestHetPeriodSearch:
         assert int(sweep.counts("het-period-search")[0]) == 3
         q = sweep.objective_quantiles("het-period-search")
         assert np.all(np.isfinite(q)) and np.all(q > 0)
-
-    def test_exhausted_probe_budget_reports_not_converged(self):
-        # Regression: with max_probes exhausted before the bracket met
-        # rel_tol, the search returned a witness whose details were
-        # indistinguishable from a converged run.
-        chain = TaskChain([6.0, 6.0], [1.0, 0.0])
-        platform = Platform(
-            speeds=[2.0, 1.0, 1.0], failure_rates=[1e-4] * 3,
-            max_replication=2,
-        )
-        starved = minimize_period_search(chain, platform, max_probes=1)
-        assert starved.feasible
-        assert starved.details["probes"] == 1
-        assert starved.details["converged"] is False
-        lo, hi = starved.details["bracket"]
-        assert hi - lo > DEFAULT_REL_TOL * max(hi, 1.0)
-
-    def test_default_budget_converges(self):
-        chain = TaskChain([6.0, 6.0], [1.0, 0.0])
-        platform = Platform(
-            speeds=[2.0, 1.0, 1.0], failure_rates=[1e-4] * 3,
-            max_replication=2,
-        )
-        result = minimize_period_search(chain, platform)
-        assert result.details["converged"] is True
-        assert result.details["probes"] < DEFAULT_MAX_PROBES
-        lo, hi = result.details["bracket"]
-        assert hi - lo <= DEFAULT_REL_TOL * max(hi, 1.0)
